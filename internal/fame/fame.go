@@ -204,6 +204,12 @@ type Runner struct {
 	effWorkers int
 	schedUnits int
 
+	// costs[e] is endpoint e's measured host cost per round, the weight
+	// RunParallel's partitioner balances workers by (see tickCost in
+	// parallel.go). Host-side only: it never enters Save, checkpoints,
+	// hashes or token streams.
+	costs []tickCost
+
 	// stepOverride, when non-zero, forces a smaller batch step than the
 	// latency GCD (it must divide every link latency). Target behaviour is
 	// identical — only host performance changes — which makes it the
@@ -367,6 +373,7 @@ func (r *Runner) build() error {
 			}
 		}
 	}
+	r.costs = make([]tickCost, len(r.endpoints))
 	r.built = true
 	if r.metricsReg != nil {
 		r.initMetrics()
@@ -386,17 +393,33 @@ func (r *Runner) Run(cycles clock.Cycles) error {
 // topology build and scratch allocation happen before the clock starts,
 // so Measure's reported sim rate is not inflated by setup cost on short
 // runs.
-func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
-	if err := r.build(); err != nil {
+func (r *Runner) run(cycles clock.Cycles) (time.Duration, error) {
+	if err := r.checkRun(cycles); err != nil {
 		return 0, err
 	}
+	return r.seqLoop(0, int(cycles/r.step), false)
+}
+
+// checkRun builds the topology and validates a run request of cycles.
+func (r *Runner) checkRun(cycles clock.Cycles) error {
+	if err := r.build(); err != nil {
+		return err
+	}
 	if r.poisoned {
-		return 0, ErrPoisoned
+		return ErrPoisoned
 	}
 	if cycles <= 0 || cycles%r.step != 0 {
-		return 0, fmt.Errorf("fame: cycles %d must be a positive multiple of step %d", cycles, r.step)
+		return fmt.Errorf("fame: cycles %d must be a positive multiple of step %d", cycles, r.step)
 	}
-	rounds := cycles / r.step
+	return nil
+}
+
+// seqLoop runs rounds [first, rounds) of one call on the sequential
+// scheduler. first offsets the round index, so a call split between
+// schedulers samples tick timings on the same rounds as an unsplit one.
+// calibrate times every tick into the measured cost RunParallel
+// partitions by; a plain Run never calibrates.
+func (r *Runner) seqLoop(first, rounds int, calibrate bool) (wall time.Duration, err error) {
 	n := int(r.step)
 
 	// Panic containment: a model that panics mid-tick must not take the
@@ -448,9 +471,10 @@ func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
 	start := time.Now()
 	var lastTick time.Time
 	var accRounds, accToks uint64
-	for round := clock.Cycles(0); round < rounds; round++ {
+	for round := first; round < rounds; round++ {
 		sampled := m != nil && round&tickSampleMask == 0
-		if sampled {
+		timed := sampled || calibrate
+		if timed {
 			lastTick = time.Now()
 		}
 		var roundToks uint64
@@ -517,18 +541,25 @@ func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
 					epAcc[i] += toks
 					roundToks += toks
 				}
-				// Tick timing is sampled (every tickSampleMask+1 rounds) with
-				// chained clock reads: endpoint i's tick is measured from the
-				// previous endpoint's read, so a sampled round costs one
-				// time.Now per endpoint and an unsampled round costs none.
-				// The runner's own bookkeeping between ticks lands in the
-				// next endpoint's bucket — tick times are attribution, and a
-				// sampled round's tick times sum to its wall time.
+			}
+			// Tick timing is sampled (every tickSampleMask+1 rounds, or
+			// every round when calibrating) with chained clock reads:
+			// endpoint i's tick is measured from the previous endpoint's
+			// read, so a timed round costs one time.Now per endpoint and
+			// an untimed round costs none. The runner's own bookkeeping
+			// between ticks lands in the next endpoint's bucket — tick
+			// times are attribution, and a timed round's tick times sum to
+			// its wall time.
+			if timed {
+				now := time.Now()
+				d := now.Sub(lastTick).Nanoseconds()
 				if sampled {
-					now := time.Now()
-					m.tick[i].Observe(uint64(now.Sub(lastTick).Nanoseconds()))
-					lastTick = now
+					m.tick[i].Observe(uint64(d))
 				}
+				if calibrate {
+					r.costs[i].add(d)
+				}
+				lastTick = now
 			}
 			if inj := r.injector; inj != nil {
 				name := e.Name()
@@ -571,7 +602,8 @@ func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
 
 // RunParallel advances the simulation by the given number of target cycles
 // using the sharded worker pool scheduler (see parallel.go): endpoints are
-// partitioned across up to Workers() workers, and each worker runs
+// partitioned across up to Workers() workers by their measured tick
+// cost, and each worker runs
 // decoupled for up to a link latency of target cycles before synchronizing
 // with a neighbour. This mirrors the paper's distributed execution: hosts
 // may be simulating different target cycles at the same moment, yet the

@@ -8,8 +8,9 @@ import (
 // (internal/obs). The runner's hot loops are the costliest code in the
 // whole simulator, so the instruments follow two rules:
 //
-//   - a nil *runnerMetrics disables everything: the uninstrumented loop
-//     executes exactly the pre-obs code (one pointer nil check per round);
+//   - a nil *runnerMetrics disables every instrument (one pointer nil
+//     check per round). The parallel loops still take their sampled-round
+//     clock reads, which feed the partitioner's measured tick cost;
 //   - every enabled-path record is an uncontended atomic add (obs
 //     instruments); clock reads — the one genuinely expensive part — are
 //     paid only on sampled rounds (one round in tickSampleMask+1). On a
@@ -29,6 +30,8 @@ import (
 //	fame_pool_allocs_total                   batch-pool misses (fresh allocations)
 //	fame_pool_drops_total                    recycled batches dropped (want: 0)
 //	fame_cycle                               gauge: current target cycle
+//	fame_partition_imbalance_permille        gauge: latest RunParallel partition's
+//	                                         max ÷ mean worker cost × 1000
 //	fame_tick_nanos{endpoint=E}              histogram: sampled TickBatch wall time
 //	fame_endpoint_tokens_total{endpoint=E}   valid tokens emitted by E
 //
@@ -39,7 +42,9 @@ import (
 // their histograms stay comparable. In sequential mode it is an
 // attribution — endpoint ticks include their share of the runner's
 // inter-tick bookkeeping, and a sampled round's tick times sum to its
-// wall time.
+// wall time. fame_partition_imbalance_permille is host-side too: it reads
+// the measured tick costs the partitioner balanced by, so 1000 means every
+// worker carries the same cost and 2000 on two workers means one idles.
 type runnerMetrics struct {
 	rounds     *obs.Counter
 	cycles     *obs.Counter
@@ -48,6 +53,7 @@ type runnerMetrics struct {
 	poolAllocs *obs.Counter
 	poolDrops  *obs.Counter
 	cycleGauge *obs.Gauge
+	imbalance  *obs.Gauge
 
 	// Per-endpoint instruments, indexed like Runner.endpoints. Histograms
 	// and counters are internally atomic, so the parallel runner's worker
@@ -87,6 +93,7 @@ func (r *Runner) initMetrics() {
 		poolAllocs: reg.Counter("fame_pool_allocs_total"),
 		poolDrops:  reg.Counter("fame_pool_drops_total"),
 		cycleGauge: reg.Gauge("fame_cycle"),
+		imbalance:  reg.Gauge("fame_partition_imbalance_permille"),
 		tick:       make([]*obs.Histogram, len(r.endpoints)),
 		epTokens:   make([]*obs.Counter, len(r.endpoints)),
 	}

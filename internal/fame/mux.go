@@ -111,12 +111,12 @@ func buildMuxPlans(plans [][]*epPlan) []*muxPlan {
 
 // muxLoop runs the multiplexed scheduling mode: one goroutine per unit
 // (== per worker), each ticking its fused member table once per round.
-// Panic containment, heartbeat cadence, tick-timing sample rounds and
-// token accounting all mirror poolLoop exactly; only the schedule
-// representation differs. Returns the round-loop wall time and the
-// contained panic, if any (the caller drains rings and poisons the
+// Panic containment, heartbeat cadence, tick-timing sample rounds, cost
+// sampling and token accounting all mirror poolLoop exactly; only the
+// schedule representation differs. Returns the round-loop wall time and
+// the contained panic, if any (the caller drains rings and poisons the
 // runner).
-func (r *Runner) muxLoop(units []*muxPlan, hbWorker, rounds, n int, m *runnerMetrics) (time.Duration, *EndpointPanicError) {
+func (r *Runner) muxLoop(units []*muxPlan, hbWorker, first, rounds, n int, m *runnerMetrics) (time.Duration, *EndpointPanicError) {
 	base := r.cycle
 	start := time.Now()
 
@@ -157,11 +157,11 @@ func (r *Runner) muxLoop(units []*muxPlan, hbWorker, rounds, n int, m *runnerMet
 					eagers = append(eagers, &u.members[mi])
 				}
 			}
-			for round := 0; round < rounds; round++ {
+			for round := first; round < rounds; round++ {
 				if abort.Load() {
 					return
 				}
-				winStart := base + clock.Cycles(round)*r.step
+				winStart := base + clock.Cycles(round-first)*r.step
 				curWin = winStart
 				for _, mem := range eagers {
 					curName = mem.name
@@ -188,7 +188,7 @@ func (r *Runner) muxLoop(units []*muxPlan, hbWorker, rounds, n int, m *runnerMet
 					}
 					mem.eager.StartBatch(n, u.ins[mem.lo:mem.hi])
 				}
-				sampled := m != nil && round&tickSampleMask == 0
+				sampled := round&tickSampleMask == 0
 				for mi := range u.members {
 					mem := &u.members[mi]
 					curName = mem.name
@@ -241,7 +241,11 @@ func (r *Runner) muxLoop(units []*muxPlan, hbWorker, rounds, n int, m *runnerMet
 					}
 					mem.ep.TickBatch(n, u.ins[mem.lo:mem.hi], u.outs[mem.lo:mem.hi])
 					if sampled {
-						m.tick[mem.idx].Observe(uint64(time.Since(t0).Nanoseconds()))
+						d := time.Since(t0).Nanoseconds()
+						r.costs[mem.idx].add(d)
+						if m != nil {
+							m.tick[mem.idx].Observe(uint64(d))
+						}
 					}
 					if m != nil {
 						var toks uint64

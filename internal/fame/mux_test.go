@@ -120,7 +120,7 @@ func TestMuxPlanFusion(t *testing.T) {
 	if err := r.build(); err != nil {
 		t.Fatal(err)
 	}
-	parts := r.partition(3)
+	parts := r.partition(3, portCosts(r))
 	owner := make([]int, len(r.endpoints))
 	for w, eps := range parts {
 		for _, i := range eps {

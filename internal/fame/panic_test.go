@@ -55,10 +55,10 @@ func (r *relay) Restore(rd *snapshot.Reader) error {
 	return rd.Err()
 }
 
-// faultChain builds a — r1 — r2 — z with latency-8 links. The weights
-// (1,2,2,1) split into exactly two balanced groups under two workers,
-// with the r1—r2 link crossing workers, so the parallel test exercises
-// the abort path through cross-worker rings.
+// faultChain builds a — r1 — r2 — z with latency-8 links. However the
+// measured costs split it across two workers, at least one chain link
+// crosses workers, so the parallel test exercises the abort path through
+// cross-worker rings.
 func faultChain() (*Runner, *pulse, *relay, *relay, *pulse) {
 	r := NewRunner()
 	a := &pulse{name: "a", period: 3}

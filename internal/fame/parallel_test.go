@@ -13,8 +13,7 @@ import (
 )
 
 // hub is a partition-test stub: an inert endpoint with an arbitrary port
-// count, standing in for a switch (whose per-round cost scales with its
-// port count).
+// count, standing in for a switch.
 type hub struct {
 	name  string
 	ports int
@@ -41,6 +40,18 @@ func starRunner(t *testing.T, leaves int) *Runner {
 	return r
 }
 
+// portCosts weighs every endpoint by its port count. The partition goldens
+// below were written when the partitioner derived exactly these weights
+// itself; they now pass them as the explicit cost vector and keep their
+// expected assignments.
+func portCosts(r *Runner) []int {
+	cost := make([]int, len(r.endpoints))
+	for i, e := range r.endpoints {
+		cost[i] = e.NumPorts()
+	}
+	return cost
+}
+
 func TestSetWorkersValidation(t *testing.T) {
 	r := NewRunner()
 	if err := r.SetWorkers(-1); err == nil {
@@ -63,18 +74,18 @@ func TestSetWorkersValidation(t *testing.T) {
 // TestPartitionProperties checks the partitioner invariants on the
 // bench-like star: every endpoint appears exactly once, parts are in index
 // order, the part count never exceeds the worker count, and the result is
-// a pure function of the topology (two calls agree).
+// a pure function of the topology and the cost vector (two calls agree).
 func TestPartitionProperties(t *testing.T) {
 	r := starRunner(t, 8)
 	if err := r.build(); err != nil {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 12; workers++ {
-		parts := r.partition(workers)
+		parts := r.partition(workers, portCosts(r))
 		if len(parts) > workers {
 			t.Fatalf("workers=%d: %d parts", workers, len(parts))
 		}
-		if again := r.partition(workers); !reflect.DeepEqual(parts, again) {
+		if again := r.partition(workers, portCosts(r)); !reflect.DeepEqual(parts, again) {
 			t.Fatalf("workers=%d: partition not deterministic:\n%v\n%v", workers, parts, again)
 		}
 		seen := make(map[int]bool)
@@ -118,7 +129,7 @@ func TestPartitionCoLocatesLinkedPairs(t *testing.T) {
 	if err := r.build(); err != nil {
 		t.Fatal(err)
 	}
-	parts := r.partition(4)
+	parts := r.partition(4, portCosts(r))
 	owner := make(map[int]int)
 	for w, part := range parts {
 		for _, idx := range part {
@@ -456,7 +467,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if len(parts) > workers {
 			t.Fatalf("%d parts for %d workers", len(parts), workers)
 		}
-		if again := r.partition(workers); !reflect.DeepEqual(parts, again) {
+		if again := r.partition(workers, portCosts(r)); !reflect.DeepEqual(parts, again) {
 			t.Fatalf("partition not deterministic:\n%v\n%v", parts, again)
 		}
 		owner := make(map[int]int)
@@ -484,7 +495,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}
-		parts := r.partition(4)
+		parts := r.partition(4, portCosts(r))
 		owner := cover(t, r, parts, 4)
 		hubPart := parts[owner[0]]
 		if len(hubPart) != 1 {
@@ -505,7 +516,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}
-		parts := r.partition(12)
+		parts := r.partition(12, portCosts(r))
 		cover(t, r, parts, 12)
 		if len(parts) > 5 {
 			t.Errorf("%d parts for 5 endpoints", len(parts))
@@ -530,7 +541,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}
-		cover(t, r, r.partition(3), 3)
+		cover(t, r, r.partition(3, portCosts(r)), 3)
 		for _, mux := range []bool{false, true} {
 			if err := r.SetWorkers(3); err != nil {
 				t.Fatal(err)
@@ -565,7 +576,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}
-		parts := r.partition(3)
+		parts := r.partition(3, portCosts(r))
 		cover(t, r, parts, 3)
 		if want := [][]int{{0, 1}, {2, 3}, {4, 5}}; !reflect.DeepEqual(parts, want) {
 			t.Errorf("saturated chain packed %v, want %v", parts, want)
@@ -578,13 +589,13 @@ func TestPartitionEdgeCases(t *testing.T) {
 // ascending index (the PackUnits tie-break the partitioner inherits), not
 // land in whatever order a map iteration produced.
 func TestPartitionPackingTieBreak(t *testing.T) {
-	// partition is a pure function of endpoints and links; no build()
-	// needed (a link-free topology would not build anyway).
+	// partition is a pure function of endpoints, links and costs; no
+	// build() needed (a link-free topology would not build anyway).
 	r := NewRunner()
 	for i := 0; i < 6; i++ {
 		r.Add(&hub{name: "i" + string(rune('0'+i)), ports: 1})
 	}
-	parts := r.partition(3)
+	parts := r.partition(3, portCosts(r))
 	if want := [][]int{{0, 3}, {1, 4}, {2, 5}}; !reflect.DeepEqual(parts, want) {
 		t.Errorf("tie-break packed %v, want %v", parts, want)
 	}
@@ -616,7 +627,7 @@ func TestPartitionBalanceSlackCoLocates(t *testing.T) {
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}
-		parts := r.partition(2)
+		parts := r.partition(2, portCosts(r))
 		owner := make(map[int]int)
 		for w, part := range parts {
 			for _, idx := range part {

@@ -13,6 +13,11 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module =="
+# perfbench is its own Go module (it replaces repro with the checkout),
+# so the root `go test ./...` never builds it.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "== bench smoke =="
 # One tiny topology, one rep: proves `firesim bench` still runs end to end
 # and emits parseable JSON. Real numbers come from scripts/bench.sh. The
@@ -168,9 +173,11 @@ echo "== multiplexed-mode equivalence smoke (-race) =="
 # The many-nodes-per-worker scheduling mode must stay bit-identical to the
 # sequential scheduler under the race detector: stream equivalence across
 # worker counts (with fault injection), mid-run checkpoint restore across
-# modes, metrics parity, and panic containment inside a fused unit.
+# modes, metrics parity, and panic containment inside a fused unit. The
+# re-partition test holds both modes to the same bytes when every call
+# runs under a different partition of measured tick costs.
 go test -race -count=1 \
-    -run 'TestMuxWorkerSweepEquivalence|TestMuxCheckpointMidRun|TestMuxMetricsEquivalence|TestMuxPanicContainment|TestMuxCrossModeRestore' \
+    -run 'TestMuxWorkerSweepEquivalence|TestMuxCheckpointMidRun|TestMuxMetricsEquivalence|TestMuxPanicContainment|TestMuxCrossModeRestore|TestRepartitionBetweenCallsEquivalence' \
     ./internal/fame >/dev/null
 
 echo "== checkpoint determinism smoke =="
