@@ -210,6 +210,11 @@ type Runner struct {
 	// hashes or token streams.
 	costs []tickCost
 
+	// seq is the sequential loop's per-endpoint scratch, built once so
+	// that a Run of one step (Partition.RunSlice, once per window)
+	// allocates nothing.
+	seq seqScratch
+
 	// stepOverride, when non-zero, forces a smaller batch step than the
 	// latency GCD (it must divide every link latency). Target behaviour is
 	// identical — only host performance changes — which makes it the
@@ -374,11 +379,47 @@ func (r *Runner) build() error {
 		}
 	}
 	r.costs = make([]tickCost, len(r.endpoints))
+	r.seq = newSeqScratch(r.endpoints)
 	r.built = true
 	if r.metricsReg != nil {
 		r.initMetrics()
 	}
 	return nil
+}
+
+// seqScratch holds seqLoop's per-endpoint port slices and its eager
+// prepass list. Eager endpoints (cut-point bridges) get a per-round
+// prepass: inputs popped and filtered early, StartBatch called, and the
+// main loop then reuses the pre-popped batches. See the EagerStarter
+// contract.
+type seqScratch struct {
+	ins, outs [][]*token.Batch
+	eagers    []eagerEp
+	isEager   []bool
+	epAcc     []uint64 // per-endpoint token counts between metric flushes
+}
+
+type eagerEp struct {
+	i int
+	s EagerStarter
+}
+
+func newSeqScratch(eps []Endpoint) seqScratch {
+	sc := seqScratch{
+		ins:     make([][]*token.Batch, len(eps)),
+		outs:    make([][]*token.Batch, len(eps)),
+		isEager: make([]bool, len(eps)),
+		epAcc:   make([]uint64, len(eps)),
+	}
+	for i, e := range eps {
+		sc.ins[i] = make([]*token.Batch, e.NumPorts())
+		sc.outs[i] = make([]*token.Batch, e.NumPorts())
+		if s, ok := e.(EagerStarter); ok {
+			sc.eagers = append(sc.eagers, eagerEp{i, s})
+			sc.isEager[i] = true
+		}
+	}
+	return sc
 }
 
 // Run advances the simulation by the given number of target cycles using
@@ -439,34 +480,13 @@ func (r *Runner) seqLoop(first, rounds int, calibrate bool) (wall time.Duration,
 		}
 	}()
 
-	// Per-endpoint scratch slices, reused across rounds.
-	ins := make([][]*token.Batch, len(r.endpoints))
-	outs := make([][]*token.Batch, len(r.endpoints))
-	for i, e := range r.endpoints {
-		ins[i] = make([]*token.Batch, e.NumPorts())
-		outs[i] = make([]*token.Batch, e.NumPorts())
-	}
-
-	// Eager endpoints (cut-point bridges) get a per-round prepass: inputs
-	// popped and filtered early, StartBatch called, and the main loop then
-	// reuses the pre-popped batches. See the EagerStarter contract.
-	type eagerEp struct {
-		i int
-		s EagerStarter
-	}
-	var eagers []eagerEp
-	isEager := make([]bool, len(r.endpoints))
-	for i, e := range r.endpoints {
-		if s, ok := e.(EagerStarter); ok {
-			eagers = append(eagers, eagerEp{i, s})
-			isEager[i] = true
-		}
-	}
+	ins, outs, eagers, isEager := r.seq.ins, r.seq.outs, r.seq.eagers, r.seq.isEager
 
 	m := r.metrics
 	var epAcc []uint64
 	if m != nil {
-		epAcc = make([]uint64, len(r.endpoints))
+		epAcc = r.seq.epAcc
+		clear(epAcc)
 	}
 	start := time.Now()
 	var lastTick time.Time

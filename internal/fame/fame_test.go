@@ -432,3 +432,29 @@ func TestInjectorEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStepZeroAlloc: re-entering the sequential runner once per step
+// (what Partition.RunSlice does every token window) must not rebuild
+// per-call scratch. After the first call, a Run(step) on alloc-free
+// endpoints allocates nothing.
+func TestRunStepZeroAlloc(t *testing.T) {
+	a, b := &echo{name: "a"}, &echo{name: "b"}
+	r := NewRunner()
+	r.Add(a)
+	r.Add(b)
+	if err := r.Connect(a, 0, b, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	step := r.Step()
+	if err := r.Run(step); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.Run(step); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Run(step) allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ type DistReport struct {
 	// FinalProcs is the number of shard processes at completion.
 	FinalProcs int
 	// Token-plane wire accounting for the final (successful) epoch,
-	// summed over the root partition's bridges: bytes that actually
+	// summed over the root partition's token links: bytes that actually
 	// crossed the wire in each direction, and what the sent traffic
 	// would have cost under the v2 fixed-width codec (the compression
 	// baseline). Windows is the number of batch exchanges the horizon
@@ -162,9 +163,8 @@ type helloConn struct {
 }
 
 type tokenConn struct {
-	unit  int
-	epoch uint32
-	conn  net.Conn
+	pre  transport.TokenPreamble
+	conn net.Conn
 }
 
 // epochRun is the state of one assignment epoch. fail may be called from
@@ -485,8 +485,8 @@ func (c *coordinator) acceptControl() {
 	}
 }
 
-// acceptTokens accepts token-plane connections, validates the preamble
-// and drops anything from a superseded epoch on the floor.
+// acceptTokens accepts token links, validates the preamble framing and
+// drops anything from a superseded epoch on the floor.
 func (c *coordinator) acceptTokens() {
 	for {
 		conn, err := c.tokenLn.Accept()
@@ -494,13 +494,13 @@ func (c *coordinator) acceptTokens() {
 			return
 		}
 		go func(conn net.Conn) {
-			unit, epoch, err := transport.ReadTokenPreamble(conn, 15*time.Second)
-			if err != nil || epoch != c.epoch.Load() {
+			pre, err := transport.ReadTokenPreamble(conn, 15*time.Second)
+			if err != nil || pre.Epoch != c.epoch.Load() {
 				conn.Close()
 				return
 			}
 			select {
-			case c.tokenCh <- tokenConn{unit: int(unit), epoch: epoch, conn: conn}:
+			case c.tokenCh <- tokenConn{pre: pre, conn: conn}:
 			default:
 				conn.Close()
 			}
@@ -688,13 +688,12 @@ func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epoc
 	stopWatch := make(chan struct{})
 	defer close(stopWatch)
 	go c.watchdog(e, procsList, stopWatch)
-	go c.chaosWatcher(procsList, stopWatch)
 
 	return c.runSlices(e, procsList)
 }
 
-// awaitSetup collects epoch-tagged token connections (attaching each to
-// the root partition) and Ready replies from every proc.
+// awaitSetup collects every proc's epoch-tagged token link (attaching its
+// units to the root partition) and Ready replies.
 func (c *coordinator) awaitSetup(e *epochRun, procs []*shardProc, deadline time.Time) *epochFailure {
 	needToken := make(map[int]bool)
 	for u := range c.unitStores {
@@ -720,15 +719,22 @@ func (c *coordinator) awaitSetup(e *epochRun, procs []*shardProc, deadline time.
 				}
 			}
 		case tc := <-c.tokenCh:
-			if tc.epoch != e.epoch || !needToken[tc.unit] {
+			if tc.pre.Epoch != e.epoch {
 				tc.conn.Close()
 				continue
 			}
-			if err := e.part.AttachBridge(tc.unit, tc.conn, c.restoreCycle); err != nil {
+			if err := checkLinkUnits(tc.pre, procs, needToken); err != nil {
+				c.logf("epoch %d: dropping token link from %s: %v", e.epoch, tc.pre.Name, err)
 				tc.conn.Close()
-				return c.collectFailure(e, "attach "+UnitName(tc.unit)+": "+err.Error())
+				continue
 			}
-			delete(needToken, tc.unit)
+			if err := e.part.AttachLink(tc.pre.Units, tc.conn, c.restoreCycle); err != nil {
+				tc.conn.Close()
+				return c.collectFailure(e, "attach "+tc.pre.Name+": "+err.Error())
+			}
+			for _, u := range tc.pre.Units {
+				delete(needToken, u)
+			}
 		case ev := <-c.evCh:
 			switch {
 			case ev.lost != nil:
@@ -754,6 +760,31 @@ func (c *coordinator) awaitSetup(e *epochRun, procs []*shardProc, deadline time.
 				e.fail("", fmt.Sprintf("token dial timeout (%d unit(s) unattached)", len(needToken)))
 			}
 			return c.collectFailure(e, "")
+		}
+	}
+	return nil
+}
+
+// checkLinkUnits validates a token link's unit list against the epoch's
+// assignment: the dialing process must be part of it, and the list must
+// name each of its units exactly once, none of them already attached.
+func checkLinkUnits(pre transport.TokenPreamble, procs []*shardProc, unattached map[int]bool) error {
+	i := slices.IndexFunc(procs, func(p *shardProc) bool { return p.name == pre.Name })
+	if i < 0 {
+		return fmt.Errorf("%q is not assigned units this epoch", pre.Name)
+	}
+	owned := procs[i].units
+	if len(pre.Units) != len(owned) {
+		return fmt.Errorf("link carries %d units, %s is assigned %d", len(pre.Units), pre.Name, len(owned))
+	}
+	for k, u := range pre.Units {
+		switch {
+		case slices.Contains(pre.Units[:k], u):
+			return fmt.Errorf("unit %d listed twice", u)
+		case !slices.Contains(owned, u):
+			return fmt.Errorf("unit %d is not assigned to %s this epoch", u, pre.Name)
+		case !unattached[u]:
+			return fmt.Errorf("unit %d is already attached", u)
 		}
 	}
 	return nil
@@ -796,9 +827,11 @@ func (c *coordinator) runSlices(e *epochRun, procs []*shardProc) (*DistReport, *
 
 		// The root's own slice: its token exchanges ARE the lockstep
 		// coupling with every shard. Chunked by step so the progress
-		// clock stays fresh for the watchdog.
+		// clock stays fresh for the watchdog and chaos lands on its
+		// trigger window.
 		var sliceErr error
 		for uint64(e.part.Runner.Cycle()) < target && sliceErr == nil && !e.failedNow() {
+			c.fireChaos(procs, uint64(e.part.Runner.Cycle()))
 			sliceErr = e.part.RunSlice(e.part.Step)
 			c.rootCycle.Store(uint64(e.part.Runner.Cycle()))
 			c.rootProgress.Store(time.Now().UnixNano())
@@ -857,13 +890,17 @@ func (c *coordinator) runSlices(e *epochRun, procs []*shardProc) (*DistReport, *
 			Hashes:   all,
 			Combined: CombineHashes(all),
 		}
-		// Wire accounting while the epoch's bridges are still alive
-		// (runEpoch closes them on return). Safe here: the bridges'
-		// driving goroutine is this one, and the run is complete.
+		// Wire accounting while the epoch's links are still alive
+		// (runEpoch closes them on return), once per link: every
+		// bridge on a link reports the link's totals.
+		links := make(map[*transport.Link]bool)
 		for _, br := range e.part.Bridges {
-			rep.WireBytesSent += br.WireBytesSent()
-			rep.WireBytesRecv += br.WireBytesRecv()
-			rep.PrecodecBytes += br.PrecodecBytes()
+			if l := br.Link(); l != nil && !links[l] {
+				links[l] = true
+				rep.WireBytesSent += l.WireBytesSent()
+				rep.WireBytesRecv += l.WireBytesRecv()
+				rep.PrecodecBytes += l.PrecodecBytes()
+			}
 		}
 		if step := uint64(e.part.Step); step > 0 {
 			rep.Windows = target / step
@@ -970,35 +1007,27 @@ func (c *coordinator) watchdog(e *epochRun, procs []*shardProc, stop chan struct
 	}
 }
 
-// chaosWatcher delivers scheduled kill/stop events the moment the victim
-// reports reaching the trigger cycle — mid-slice, not at a tidy boundary.
-func (c *coordinator) chaosWatcher(procs []*shardProc, stop chan struct{}) {
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			for _, cs := range c.chaos {
-				if cs.done.Load() || (cs.ev.Kind != faults.ChaosKill && cs.ev.Kind != faults.ChaosStop) {
-					continue
-				}
-				for _, p := range procs {
-					if p.name != cs.ev.Target || p.lastCycle.Load() < cs.ev.Cycle {
-						continue
-					}
-					if !cs.done.CompareAndSwap(false, true) {
-						break
-					}
-					if cs.ev.Kind == faults.ChaosKill {
-						c.logf("chaos: SIGKILL %s at cycle >= %d", p.name, cs.ev.Cycle)
-						p.cmd.Process.Kill()
-					} else {
-						c.logf("chaos: SIGSTOP %s at cycle >= %d", p.name, cs.ev.Cycle)
-						p.cmd.Process.Signal(syscall.SIGSTOP)
-					}
-				}
+// fireChaos delivers every scheduled kill or stop whose trigger cycle
+// the root partition has reached. It runs between the root's token
+// windows, and the token plane keeps every shard within a window of the
+// root, so the signal lands in the checkpoint slice that contains its
+// trigger cycle however fast the host runs.
+func (c *coordinator) fireChaos(procs []*shardProc, cycle uint64) {
+	for _, cs := range c.chaos {
+		if cs.done.Load() || cs.ev.Cycle > cycle || (cs.ev.Kind != faults.ChaosKill && cs.ev.Kind != faults.ChaosStop) {
+			continue
+		}
+		for _, p := range procs {
+			if p.name != cs.ev.Target {
+				continue
+			}
+			cs.done.Store(true)
+			if cs.ev.Kind == faults.ChaosKill {
+				c.logf("chaos: SIGKILL %s at cycle %d", p.name, cycle)
+				p.cmd.Process.Kill()
+			} else {
+				c.logf("chaos: SIGSTOP %s at cycle %d", p.name, cycle)
+				p.cmd.Process.Signal(syscall.SIGSTOP)
 			}
 		}
 	}

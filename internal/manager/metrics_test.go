@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -102,11 +101,8 @@ func TestSupervisorMetricsDeadPeer(t *testing.T) {
 
 	a := softstack.NewNode(softstack.Config{Name: "a", MAC: 0x1, IP: 0x0a000001, StaticARP: arp})
 	br := transport.NewBridgeConfig("to-host2", c1, transport.BridgeConfig{
-		ReadTimeout:   100 * time.Millisecond,
-		WriteTimeout:  100 * time.Millisecond,
-		MaxReconnects: 1,
-		BackoffBase:   2 * time.Millisecond,
-		Redial:        func() (io.ReadWriter, error) { return nil, fmt.Errorf("no route to host") },
+		ReadTimeout:  100 * time.Millisecond,
+		WriteTimeout: 100 * time.Millisecond,
 	})
 	r := fame.NewRunner()
 	r.Add(a)

@@ -7,7 +7,8 @@
 // 2, which shards the paper's 1024-node tree into 32 ToR units regardless
 // of the root's radix). Every cut link of latency L is split into two
 // half-links of L/2 — one in each process — joined by a transport.Bridge
-// pair whose synchronous batch exchange contributes zero target latency,
+// pair whose synchronous batch exchange contributes zero target latency
+// (every bridge pair between two processes shares one token link),
 // so the end-to-end latency every token observes is exactly L and the
 // partitioned simulation is bit-identical to a whole-cluster Deploy (the
 // paper's token-protocol guarantee, stretched across process
@@ -312,15 +313,30 @@ func BuildPartition(spec ClusterSpec, units []int, bridgeTimeout time.Duration) 
 	return p, nil
 }
 
-// AttachBridge binds a unit's bridge to a live token connection,
-// resuming the batch sequence at the given cycle (a bridge exchanges one
-// batch per Step).
+// AttachBridge binds one unit's bridge to a live token connection as a
+// one-unit link, resuming the batch sequence at the given cycle (a
+// bridge exchanges one batch per Step).
 func (p *Partition) AttachBridge(unit int, conn io.ReadWriter, cycle uint64) error {
-	br, ok := p.Bridges[unit]
-	if !ok {
-		return fmt.Errorf("manager: partition: no bridge for unit %d", unit)
+	return p.AttachLink([]int{unit}, conn, cycle)
+}
+
+// AttachLink binds the bridges of units, in that slot order, to one
+// token connection shared by all of them (transport.Link), resuming
+// every batch sequence at the given cycle. The peer must attach the same
+// units in the same order.
+func (p *Partition) AttachLink(units []int, conn io.ReadWriter, cycle uint64) error {
+	if len(units) == 0 {
+		return fmt.Errorf("manager: partition: token link with no units")
 	}
-	br.Reset(conn, cycle/uint64(p.Step))
+	bridges := make([]*transport.Bridge, len(units))
+	for i, unit := range units {
+		br, ok := p.Bridges[unit]
+		if !ok {
+			return fmt.Errorf("manager: partition: no bridge for unit %d", unit)
+		}
+		bridges[i] = br
+	}
+	transport.Attach(conn, cycle/uint64(p.Step), bridges...)
 	return nil
 }
 

@@ -209,7 +209,7 @@ func (s *shard) teardown() {
 // handleAssign rebuilds this shard from scratch: close the old token
 // plane, build the assigned units from the spec, restore them from their
 // stores (or persist a cycle-0 baseline), then dial one epoch-tagged
-// token connection per unit.
+// token link carrying every assigned unit.
 func (s *shard) handleAssign(m AssignMsg) error {
 	s.teardown()
 	s.assign = m
@@ -265,15 +265,14 @@ func (s *shard) handleAssign(m AssignMsg) error {
 		}
 	}
 
-	for _, u := range m.Units {
-		conn, err := transport.DialToken(m.TokenAddr, uint32(u.Unit), m.Epoch, 15*time.Second)
-		if err != nil {
-			return err
-		}
-		if err := part.AttachBridge(u.Unit, conn, s.cycle.Load()); err != nil {
-			conn.Close()
-			return err
-		}
+	pre := transport.TokenPreamble{Name: s.cfg.Name, Epoch: m.Epoch, Units: units}
+	conn, err := transport.DialToken(m.TokenAddr, pre, 15*time.Second)
+	if err != nil {
+		return err
+	}
+	if err := part.AttachLink(units, conn, s.cycle.Load()); err != nil {
+		conn.Close()
+		return err
 	}
 	s.logf("assigned epoch %d: %d unit(s) at cycle %d (restore=%v)", m.Epoch, len(m.Units), s.cycle.Load(), m.Restore)
 	return nil

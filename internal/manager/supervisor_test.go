@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -18,7 +17,7 @@ import (
 
 // TestSupervisorDeadPeer is the distributed-robustness acceptance test: a
 // two-runner simulation where the peer host dies mid-run. The supervisor
-// must detect the dead bridge (deadline + bounded reconnect), degrade it,
+// must detect the dead bridge (read deadline), degrade it,
 // keep the surviving partition simulating to the horizon, and report
 // per-node status with the remote node marked down.
 func TestSupervisorDeadPeer(t *testing.T) {
@@ -49,15 +48,11 @@ func TestSupervisorDeadPeer(t *testing.T) {
 	}()
 
 	// Host 1: node a behind a hardened bridge. The read deadline turns the
-	// dead peer into an error; the redial policy fails (the host is gone),
-	// bounding recovery attempts.
+	// dead peer into an error.
 	a := softstack.NewNode(softstack.Config{Name: "a", MAC: 0x1, IP: 0x0a000001, StaticARP: arp})
 	br := transport.NewBridgeConfig("to-host2", c1, transport.BridgeConfig{
-		ReadTimeout:   100 * time.Millisecond,
-		WriteTimeout:  100 * time.Millisecond,
-		MaxReconnects: 2,
-		BackoffBase:   2 * time.Millisecond,
-		Redial:        func() (io.ReadWriter, error) { return nil, fmt.Errorf("no route to host") },
+		ReadTimeout:  100 * time.Millisecond,
+		WriteTimeout: 100 * time.Millisecond,
 	})
 	r := fame.NewRunner()
 	r.Add(a)

@@ -1,46 +1,42 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/token"
 )
 
-// This file hardens the distributed token transport. The original Bridge
-// blocked forever on a dead peer and latched the first error with no
-// recovery, so one flaky connection could wedge an entire scale-out run.
-// The hardened Bridge adds, in layers:
+// A Bridge is one cut point of a partitioned simulation: a one-port
+// fame.Endpoint standing where the remote half of the topology would
+// attach. The bytes travel on the Bridge's Link (link.go), which may
+// carry several bridges; the Bridge itself adds, in layers:
 //
-//   - a connect-time handshake validating protocol version, batch step
-//     size and (optionally) a topology hash, so mismatched halves fail
-//     fast with a descriptive error instead of desynchronising;
-//   - a monotonically increasing sequence number on every batch frame, so
-//     the two sides can resynchronise exactly after a connection drop
-//     (duplicates from retransmission are discarded, gaps are detected);
+//   - a connect-time handshake, carried by its link, validating protocol
+//     version, batch step and (optionally) a topology hash, so
+//     mismatched halves fail fast with a descriptive error instead of
+//     desynchronising;
+//   - a per-window sequence number checked on every received frame, so a
+//     lost or reordered window is a hard error that the coordinator's
+//     checkpoint-rewind recovery handles, never silent corruption;
 //   - deadline-based reads and writes (when the connection supports
 //     deadlines, as net.Conn does), so a hung peer surfaces as an error
 //     instead of blocking target time forever;
-//   - bounded reconnection with exponential backoff plus a small resend
-//     ring of recently sent batches, so a transient drop heals without
-//     losing a single token — cycle counts after recovery are identical
-//     to an undisturbed run (asserted by tests);
 //   - an explicit degraded mode (Degrade) for the supervisor: a bridge
 //     whose peer is declared permanently dead stops touching the network
 //     and emits empty batches, letting the surviving partition drain and
 //     report partial results instead of hanging.
 
-// Protocol constants for the framed bridge stream.
+// Protocol constants for the token link stream.
 const (
 	helloMagic   uint32 = 0x4653_4b54 // "FSKT"
-	helloVersion uint16 = 3 // bumped for the v3 run-length frame codec
+	helloVersion uint16 = 4           // bumped for one shared link per process pair
 	helloSize           = 32
 )
 
@@ -52,69 +48,18 @@ var ErrDegraded = errors.New("transport: bridge degraded (peer declared dead)")
 // in-flight or subsequent TickBatch fails fast instead of blocking.
 var ErrClosed = errors.New("transport: bridge closed")
 
-// errNonRetryable wraps handshake failures that reconnecting cannot fix
-// (wrong protocol, wrong step, wrong topology).
-type errNonRetryable struct{ err error }
-
-func (e errNonRetryable) Error() string { return e.err.Error() }
-func (e errNonRetryable) Unwrap() error { return e.err }
-
-// deadlineConn is the optional connection capability used for timeouts.
-type deadlineConn interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-// BridgeConfig tunes the hardened transport. The zero value reproduces
-// the classic behaviour: block indefinitely, no reconnection, handshake
-// with step validation only.
+// BridgeConfig tunes the transport. The zero value blocks indefinitely
+// and validates only the batch step at handshake.
 type BridgeConfig struct {
-	// ReadTimeout bounds each batch read (and the handshake read) when
-	// the connection supports deadlines. Zero blocks forever.
+	// ReadTimeout bounds each read of the link (the handshake included)
+	// when the connection supports deadlines. Zero blocks forever.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each batch write likewise.
+	// WriteTimeout bounds each write likewise.
 	WriteTimeout time.Duration
 	// TopologyHash, when non-zero on both sides, must match at handshake
 	// time: it guards against wiring two halves of different topologies
 	// (or different config revisions) together.
 	TopologyHash uint64
-	// Redial, when non-nil, reopens the connection after a transport
-	// error. The bridge then re-handshakes and resynchronises from
-	// sequence numbers.
-	Redial func() (io.ReadWriter, error)
-	// MaxReconnects bounds redial attempts per disconnect (default 0: a
-	// transport error is immediately permanent).
-	MaxReconnects int
-	// BackoffBase is the first reconnect delay, doubling per attempt up
-	// to BackoffMax. Defaults: 50ms base, 2s max.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ResendWindow is how many sent batches are retained for
-	// retransmission after a reconnect (default 8). A peer that fell
-	// further behind than this cannot be resynchronised.
-	ResendWindow int
-}
-
-func (c *BridgeConfig) fillDefaults() {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.ResendWindow <= 0 {
-		c.ResendWindow = 8
-	}
-}
-
-// ringEntry is one retained sent frame, stored fully encoded (sequence
-// number included — v3 encodes it as an absolute value for exactly this
-// reason): a resync retransmits the original bytes with a plain Write
-// instead of re-encoding every retained batch per reconnect, and the
-// retransmission is guaranteed byte-identical to the first transmission.
-type ringEntry struct {
-	seq uint64
-	buf []byte
 }
 
 // Bridge splices one token stream endpoint of a distributed simulation.
@@ -123,270 +68,109 @@ type ringEntry struct {
 // identical batch steps (validated by the handshake).
 //
 // A Bridge is driven from a single scheduler goroutine; it is not safe
-// for concurrent TickBatch calls. Degrade is intended to be called
-// between Run steps (the supervisor's pattern).
+// for concurrent TickBatch calls. Bridges sharing a link may be driven
+// from different goroutines. Degrade is intended to be called between
+// Run steps (the supervisor's pattern).
 type Bridge struct {
 	name string
 	cfg  BridgeConfig
-	conn io.ReadWriter
-	w    *bufio.Writer
-	r    *bufio.Reader
+	link atomic.Pointer[Link]
 
-	// connMu guards the conn pointer only: Close may run concurrently
-	// with the scheduler goroutine swapping connections in reconnect.
-	connMu sync.Mutex
-	// closed flips once on Close; stop is closed alongside so a
-	// reconnect backoff sleep aborts immediately instead of waiting out
-	// BackoffMax.
+	// closed flips on Close; Reset clears it.
 	closed atomic.Bool
-	stop   chan struct{}
 
 	err      error
 	degraded bool
+	step     int
 
-	handshaken bool
-	step       int
+	// Window counters, written by the driving goroutine under the link's
+	// mutex: nextSend counts deposited frames, nextRecv committed
+	// exchanges. sendBuf holds the encoded frame for window sendSeq while
+	// queued; ticket numbers the link section that carries it.
+	nextSend uint64
+	nextRecv uint64
+	sendSeq  uint64
+	queued   bool
+	ticket   uint64
+	sendBuf  []byte
 
-	nextSend  uint64 // sequence number for the next batch we send
-	nextRecv  uint64 // sequence number we expect from the peer next
-	resendLow uint64 // first sequence the peer still needs (== nextSend when in sync)
-	ring      []ringEntry
+	// recvSeq is the next window the link expects to file for this
+	// bridge (owned by the link's reader role); inbox holds frames
+	// filed ahead of this bridge's own read (under the link's mutex).
+	recvSeq uint64
+	inbox   []*token.Batch
 
-	reconnects int // total successful reconnects, for reports
-	scratch    token.Batch
-
-	// Wire-level byte accounting, fed by the counting shims installed
-	// around the connection in setConn — the totals are what actually
-	// crossed the wire (frames, handshakes, duplicates, partial writes),
-	// not a recomputation. Atomic because the send side is counted from
-	// the writer goroutine. precodec tracks what the same traffic would
-	// have cost under the v2 fixed-width codec.
-	wireSent    atomic.Uint64
-	wireRecv    atomic.Uint64
-	sentFlushed uint64 // wireSent already forwarded to the obs counters
-	recvFlushed uint64
-	precodec    uint64
-
-	// Persistent writer goroutine: one per bridge, started lazily on the
-	// first submit and living across exchanges, so the steady-state send
-	// path is a channel round-trip instead of a goroutine+channel
-	// allocation per exchange. writerMu serialises submits against
-	// stopWriter; the buffered channels guarantee a submitted request is
-	// always drained and always answered, even across a concurrent Close.
-	writerMu   sync.Mutex
-	writerUp   bool
-	writerCh   chan writeReq
-	writerDone chan error
-
-	// Current-frame encode state for the overlapped exchange: sendBuf
-	// holds the encoded frame for sendSeq once sendReady; sendSubmitted
-	// means the writer goroutine holds an in-flight request for it (set
-	// by the eager StartBatch path, collected by the next exchange).
-	sendBuf       []byte
-	sendSeq       uint64
-	sendReady     bool
-	sendSubmitted bool
-	reqFrames     [][]byte // reusable request scratch
-
-	// metrics, when non-nil, exports the recovery ledger and wire volume
-	// to the observability layer (see metrics.go).
+	// metrics, when non-nil, exports the bridge's ledger to the
+	// observability layer (see metrics.go); reg is kept so a later link
+	// registers its own instruments in the same registry.
 	metrics *bridgeMetrics
+	reg     *obs.Registry
 }
 
-// writeReq is one batched write handed to the persistent writer
-// goroutine: the frames are written in order through the buffered writer,
-// then flushed as a single network write.
-type writeReq struct {
-	frames [][]byte
-}
-
-// countingWriter and countingReader are the wire-truth shims installed
-// between the bufio layer and the connection: every byte that actually
-// crosses (including retransmissions, duplicates and torn partial writes)
-// is counted, so the byte metrics no longer recompute frame sizes.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(uint64(n))
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
-	return n, err
-}
-
-// NewBridge wraps a connection with the default (blocking, non-reconnecting)
-// configuration. Each side of the distributed simulation creates one
-// Bridge over its end of the connection and Connects it where the remote
-// half of the topology would attach.
+// NewBridge wraps a connection with the default (blocking) configuration.
+// Each side of the distributed simulation creates one Bridge over its end
+// of the connection and Connects it where the remote half of the topology
+// would attach.
 func NewBridge(name string, conn io.ReadWriter) *Bridge {
 	return NewBridgeConfig(name, conn, BridgeConfig{})
 }
 
 // NewBridgeConfig wraps a connection with explicit robustness settings.
+// A nil conn builds a detached bridge; bind it with Reset or Attach.
 func NewBridgeConfig(name string, conn io.ReadWriter, cfg BridgeConfig) *Bridge {
-	cfg.fillDefaults()
-	b := &Bridge{name: name, cfg: cfg, stop: make(chan struct{})}
-	b.setConn(conn)
+	b := &Bridge{name: name, cfg: cfg}
+	if conn != nil {
+		Attach(conn, 0, b)
+	}
 	return b
 }
 
-func (b *Bridge) setConn(conn io.ReadWriter) {
-	b.connMu.Lock()
-	b.conn = conn
-	b.connMu.Unlock()
-	b.w = bufio.NewWriter(&countingWriter{w: conn, n: &b.wireSent})
-	b.r = bufio.NewReader(&countingReader{r: conn, n: &b.wireRecv})
+// reset binds b to link l at window seq, clearing every per-link state.
+func (b *Bridge) reset(l *Link, seq uint64) {
+	b.link.Store(l)
+	b.closed.Store(false)
+	b.err = nil
+	b.degraded = false
+	b.step = 0
+	b.nextSend = seq
+	b.nextRecv = seq
+	b.recvSeq = seq
+	b.queued = false
+	b.inbox = b.inbox[:0]
+	if m := b.metrics; m != nil {
+		m.degraded.Set(0)
+	}
 }
 
-// currentConn reads the connection pointer under the lock; callers that
-// only need its optional capabilities (Closer, deadlines) use this so
-// they never race a concurrent Close/reconnect swap.
-func (b *Bridge) currentConn() io.ReadWriter {
-	b.connMu.Lock()
-	defer b.connMu.Unlock()
-	return b.conn
-}
+// Link returns the link the bridge currently rides, or nil when detached.
+func (b *Bridge) Link() *Link { return b.link.Load() }
 
 // Err reports the first permanent transport error encountered (the
 // simulation cannot continue past one; subsequent batches are empty).
-// Transient errors healed by reconnection are not reported here.
 func (b *Bridge) Err() error { return b.err }
 
 // Degraded reports whether the bridge has been marked permanently down.
 func (b *Bridge) Degraded() bool { return b.degraded }
 
-// Reconnects reports how many times the bridge successfully re-established
-// its connection.
-func (b *Bridge) Reconnects() int { return b.reconnects }
-
-// Sent and Received report how many batches have been exchanged, which
-// tells a supervisor the last target cycle the peer confirmed.
-func (b *Bridge) Sent() uint64     { return b.nextSend }
+// Received reports how many batches have been exchanged, which tells a
+// supervisor the last target cycle the peer confirmed.
 func (b *Bridge) Received() uint64 { return b.nextRecv }
 
-// Step reports the negotiated batch step in target cycles (0 before the
-// handshake). Received()*Step() is the last target cycle the peer
+// Step reports the batch step in target cycles (0 before the first
+// window). Received()*Step() is the last target cycle the peer
 // confirmed, which a supervisor reports for a dead partition.
 func (b *Bridge) Step() int { return b.step }
 
-// WireBytesSent and WireBytesRecv report the exact byte totals that
-// crossed the connection in each direction (frames, handshakes and
-// retransmissions included), accumulated across reconnects. Safe to read
-// after the run completes; the bench uses them without needing a
-// registry.
-func (b *Bridge) WireBytesSent() uint64 { return b.wireSent.Load() }
-func (b *Bridge) WireBytesRecv() uint64 { return b.wireRecv.Load() }
-
-// PrecodecBytes reports what the bridge's sent traffic would have cost
-// under the v2 fixed-width codec — the denominator-free baseline for the
-// codec's compression ratio.
-func (b *Bridge) PrecodecBytes() uint64 { return b.precodec }
-
-// flushWireMetrics forwards the counting shims' deltas to the obs
-// counters. Called from the scheduler goroutine after every handshake and
-// exchange, so the exported byte totals track the wire truth even under
-// duplicate, resync or torn-write traffic.
-func (b *Bridge) flushWireMetrics() {
-	m := b.metrics
-	if m == nil {
-		return
-	}
-	if s := b.wireSent.Load(); s > b.sentFlushed {
-		m.bytesSent.Add(s - b.sentFlushed)
-		b.sentFlushed = s
-	}
-	if r := b.wireRecv.Load(); r > b.recvFlushed {
-		m.bytesRecv.Add(r - b.recvFlushed)
-		b.recvFlushed = r
-	}
-}
-
-// writerLoop is the persistent writer goroutine's body: write each
-// request's frames, flush, reply. On failure it closes the connection so
-// a reader blocked on the reply side of the exchange fails within one
-// syscall instead of one timeout. It always replies — the done channel is
-// buffered, so the reply survives even when the collector arrives after a
-// stopWriter — and exits when the request channel closes.
-func (b *Bridge) writerLoop(ch chan writeReq, done chan error) {
-	for req := range ch {
-		var err error
-		for _, f := range req.frames {
-			if _, err = b.w.Write(f); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = b.w.Flush()
-		}
-		if err != nil {
-			b.closeConn()
-		}
-		done <- err
-	}
-}
-
-// submitWrite hands the prepared reqFrames to the writer goroutine,
-// starting it lazily, and reports false when the bridge is closed. The
-// channel send cannot block: the writer is always idle (its previous
-// reply collected) when the scheduler submits, and the buffer absorbs the
-// race with a concurrent Close.
-func (b *Bridge) submitWrite() bool {
-	b.writerMu.Lock()
-	defer b.writerMu.Unlock()
-	if !b.writerUp {
-		if b.closed.Load() {
-			return false
-		}
-		b.writerCh = make(chan writeReq, 1)
-		b.writerDone = make(chan error, 1)
-		go b.writerLoop(b.writerCh, b.writerDone)
-		b.writerUp = true
-	}
-	b.writerCh <- writeReq{frames: b.reqFrames}
-	return true
-}
-
-// stopWriter retires the writer goroutine. Safe from any goroutine: an
-// in-flight request is still drained (range reads buffered items before
-// observing the close) and its reply still delivered, so a concurrent
-// exchange never loses its reply.
-func (b *Bridge) stopWriter() {
-	b.writerMu.Lock()
-	if b.writerUp {
-		close(b.writerCh)
-		b.writerUp = false
-	}
-	b.writerMu.Unlock()
-}
-
-// encodeFrame encodes the batch for seq into the reusable sendBuf and
-// charges the precodec (v2-equivalent) byte accounting.
-func (b *Bridge) encodeFrame(seq uint64, in *token.Batch) {
-	b.sendBuf = appendFrame(b.sendBuf[:0], seq, in)
-	b.sendSeq = seq
-	b.sendReady = true
-	b.precodec += frameWireBytes(len(in.Slots))
-	if m := b.metrics; m != nil {
-		m.precodecBytes.Add(frameWireBytes(len(in.Slots)))
-	}
-}
+// WireBytesSent and PrecodecBytes report the totals of the bridge's link
+// (see Link); every bridge on a link reports the same figures, so sum
+// them per link, not per bridge.
+func (b *Bridge) WireBytesSent() uint64 { return b.link.Load().WireBytesSent() }
+func (b *Bridge) PrecodecBytes() uint64 { return b.link.Load().PrecodecBytes() }
 
 // Degrade marks the bridge permanently down: TickBatch becomes a no-op
 // that emits empty batches (the surviving partition sees silence from the
-// dead one, exactly as if those links went dark). The underlying
-// connection is closed if it supports Close.
+// dead one, exactly as if those links went dark). The bridge's link is
+// closed, which fails any other bridge sharing it.
 func (b *Bridge) Degrade() {
 	b.degraded = true
 	if b.err == nil {
@@ -395,73 +179,31 @@ func (b *Bridge) Degrade() {
 	if m := b.metrics; m != nil {
 		m.degraded.Set(1)
 	}
-	b.closeConn()
-	b.stopWriter()
+	if l := b.link.Load(); l != nil {
+		l.Close()
+	}
 }
 
-// Reset revives a bridge (possibly degraded or errored) onto a fresh
-// connection, rewinding both sequence counters to seq. It is the
-// supervisor's recovery path: after restoring a dead peer from a
+// Reset revives a bridge (possibly degraded, errored or closed) onto a
+// fresh connection as a one-unit link, rewinding both sequence counters
+// to seq. It is the recovery path: after restoring a dead peer from a
 // checkpoint taken at cycle C, both sides resume the token stream at
-// batch C/step, so the bridge must forget everything after that point —
-// including its resend ring, whose retained batches belong to an
-// abandoned timeline. The next TickBatch re-handshakes on the new
-// connection.
+// batch C/step. The next TickBatch re-handshakes on the new connection.
 func (b *Bridge) Reset(conn io.ReadWriter, seq uint64) {
-	if conn != b.currentConn() {
-		// Keep the connection alive when a fresh bridge is reset onto the
-		// conn it was built with (the respawned peer's pattern).
-		b.closeConn()
-	}
-	// Retire the previous writer goroutine before swapping connections.
-	// An aborted epoch can leave an eager StartBatch submit uncollected;
-	// the closed old connection guarantees the writer replies, so drain
-	// that reply here and the request/reply protocol is idle again.
-	b.stopWriter()
-	if b.sendSubmitted {
-		b.closeConn()
-		<-b.writerDone
-		b.sendSubmitted = false
-	}
-	b.sendReady = false
-	b.setConn(conn)
-	if b.closed.CompareAndSwap(true, false) {
-		// Revive a Closed bridge: arm a fresh stop channel for the next
-		// Close.
-		b.stop = make(chan struct{})
-	}
-	b.err = nil
-	b.degraded = false
-	b.handshaken = false
-	b.step = 0
-	b.nextSend = seq
-	b.nextRecv = seq
-	b.resendLow = seq
-	b.ring = nil
-	if m := b.metrics; m != nil {
-		m.degraded.Set(0)
-	}
+	Attach(conn, seq, b)
 }
 
-func (b *Bridge) closeConn() {
-	if c, ok := b.currentConn().(io.Closer); ok {
-		c.Close()
-	}
-}
-
-// Close aborts the bridge from any goroutine: the underlying connection
-// is closed (failing any blocked read or write immediately) and a
-// reconnect backoff sleep in progress is interrupted rather than waited
-// out. The scheduler goroutine's next TickBatch latches ErrClosed.
+// Close aborts the bridge from any goroutine: its link is closed
+// (failing any blocked read or write immediately, on every bridge that
+// shares it). The scheduler goroutine's next TickBatch latches ErrClosed.
 // Close is idempotent and safe concurrently with TickBatch — it is the
 // coordinator's lever for yanking a shard out of a doomed run without
 // waiting for timeouts.
 func (b *Bridge) Close() error {
-	if b.closed.CompareAndSwap(false, true) {
-		close(b.stop)
+	b.closed.Store(true)
+	if l := b.link.Load(); l != nil {
+		l.Close()
 	}
-	b.closeConn()
-	b.stopWriter()
 	return nil
 }
 
@@ -481,11 +223,11 @@ func (b *Bridge) fail(err error) {
 	}
 }
 
-// TickBatch implements fame.Endpoint: ship the local batch and block for
-// the peer's batch covering the same target window, handshaking first and
-// transparently reconnecting on transient failures. After a permanent
-// failure (or Degrade) it is a no-op, so the local runner keeps advancing
-// with empty input from the dead partition instead of hanging.
+// TickBatch implements fame.Endpoint: deposit the local batch on the link
+// (unless StartBatch already did) and block for the peer's batch covering
+// the same target window. After a permanent failure (or Degrade) it is a
+// no-op, so the local runner keeps advancing with empty input from the
+// dead partition instead of hanging.
 func (b *Bridge) TickBatch(n int, in, out []*token.Batch) {
 	if b.err != nil || b.degraded {
 		return
@@ -494,346 +236,55 @@ func (b *Bridge) TickBatch(n int, in, out []*token.Batch) {
 		b.fail(ErrClosed)
 		return
 	}
-	if !b.handshaken {
-		if err := b.handshake(n); err != nil {
-			if !b.retryable(err) || !b.reconnect(n) {
-				b.fail(err)
-				return
-			}
-		}
-	}
-	if n != b.step {
-		b.fail(fmt.Errorf("local step changed from %d to %d mid-run", b.step, n))
+	l := b.link.Load()
+	if l == nil {
+		b.fail(errDetached)
 		return
 	}
-	for {
-		err := b.exchange(n, in[0], out[0])
-		if err == nil {
-			return
-		}
-		if !b.retryable(err) || !b.reconnect(n) {
+	if b.nextSend == b.nextRecv {
+		if err := l.deposit(b, n, in[0]); err != nil {
 			b.fail(err)
 			return
 		}
-		// Reconnected and resynchronised: retry the same window.
 	}
-}
-
-func (b *Bridge) retryable(err error) bool {
-	var nr errNonRetryable
-	return !errors.As(err, &nr)
-}
-
-// handshake exchanges and validates hello frames. It also carries each
-// side's resume sequence so a reconnect retransmits exactly the batches
-// the peer is missing. The hello write runs concurrently with the read so
-// the symmetric exchange cannot deadlock on unbuffered connections.
-func (b *Bridge) handshake(step int) error {
-	var hello [helloSize]byte
-	binary.BigEndian.PutUint32(hello[0:4], helloMagic)
-	binary.BigEndian.PutUint16(hello[4:6], helloVersion)
-	// hello[6:8] flags, reserved.
-	binary.BigEndian.PutUint32(hello[8:12], uint32(step))
-	binary.BigEndian.PutUint64(hello[16:24], b.cfg.TopologyHash)
-	binary.BigEndian.PutUint64(hello[24:32], b.nextRecv)
-
-	b.armWriteDeadline()
-	writeDone := make(chan error, 1)
-	go func() {
-		err := func() error {
-			if _, err := b.w.Write(hello[:]); err != nil {
-				return err
-			}
-			return b.w.Flush()
-		}()
-		if err != nil {
-			b.closeConn() // unblock the reader if the peer is silent
-		}
-		writeDone <- err
-	}()
-
-	b.armReadDeadline()
-	var peer [helloSize]byte
-	_, readErr := io.ReadFull(b.r, peer[:])
-	if readErr != nil {
-		b.closeConn() // unblock the writer if it is stuck
-	}
-	writeErr := <-writeDone
-	if readErr != nil && writeErr != nil &&
-		errors.Is(readErr, io.ErrClosedPipe) && !errors.Is(writeErr, io.ErrClosedPipe) {
-		readErr = nil
-	}
-	if readErr != nil {
-		return fmt.Errorf("handshake read: %w", readErr)
-	}
-	if writeErr != nil {
-		return fmt.Errorf("handshake write: %w", writeErr)
-	}
-
-	if magic := binary.BigEndian.Uint32(peer[0:4]); magic != helloMagic {
-		return errNonRetryable{fmt.Errorf("handshake: bad magic %#x (peer is not a token bridge?)", magic)}
-	}
-	if v := binary.BigEndian.Uint16(peer[4:6]); v != helloVersion {
-		return errNonRetryable{fmt.Errorf("handshake: protocol version %d, local %d", v, helloVersion)}
-	}
-	if ps := int(binary.BigEndian.Uint32(peer[8:12])); ps != 0 && step != 0 && ps != step {
-		return errNonRetryable{fmt.Errorf("handshake: peer batch step %d cycles, local step %d (link latencies must match)", ps, step)}
-	}
-	if ph := binary.BigEndian.Uint64(peer[16:24]); ph != 0 && b.cfg.TopologyHash != 0 && ph != b.cfg.TopologyHash {
-		return errNonRetryable{fmt.Errorf("handshake: topology hash %#x, local %#x (the two halves describe different targets)", ph, b.cfg.TopologyHash)}
-	}
-	b.precodec += helloSize
-	if m := b.metrics; m != nil {
-		m.precodecBytes.Add(helloSize)
-	}
-	b.flushWireMetrics()
-	resume := binary.BigEndian.Uint64(peer[24:32])
-	// resume may legitimately be nextSend+1: the peer committed our
-	// in-flight batch but its acknowledgment (the peer's own batch) was
-	// lost with the connection.
-	if resume > b.nextSend+1 {
-		return errNonRetryable{fmt.Errorf("handshake: peer expects batch %d but only %d were ever sent", resume, b.nextSend)}
-	}
-	if resume < b.nextSend && !b.ringHas(resume) {
-		return errNonRetryable{fmt.Errorf("handshake: peer needs batch %d, which is beyond the %d-batch resend window", resume, b.cfg.ResendWindow)}
-	}
-	b.resendLow = resume
-	b.step = step
-	b.handshaken = true
-	return nil
-}
-
-func (b *Bridge) ringHas(seq uint64) bool {
-	if len(b.ring) == 0 {
-		return false
-	}
-	e := b.ring[seq%uint64(len(b.ring))]
-	return len(e.buf) > 0 && e.seq == seq
-}
-
-// ringPut retains one fully encoded frame for retransmission, reusing the
-// slot's buffer capacity so the steady-state commit path is a memcpy.
-func (b *Bridge) ringPut(seq uint64, frame []byte) {
-	if len(b.ring) == 0 {
-		b.ring = make([]ringEntry, b.cfg.ResendWindow)
-	}
-	e := &b.ring[seq%uint64(len(b.ring))]
-	e.buf = append(e.buf[:0], frame...)
-	e.seq = seq
-}
-
-// StartBatch is the eager half of an overlapped exchange (the
-// fame.EagerStarter fast path): it encodes and submits this window's
-// frame to the persistent writer as soon as the local batch is ready, so
-// every cut-point bridge in a partition has its send in flight before any
-// of them blocks on a receive — K cut points cost ~1 round-trip per
-// window instead of K serial round-trips. It is a best-effort no-op
-// whenever the bridge is not in clean steady state (unhandshaken,
-// errored, degraded, closed, resynchronising, or step mismatch); the
-// following TickBatch then performs the full synchronous exchange,
-// including the first window's handshake.
-func (b *Bridge) StartBatch(n int, in []*token.Batch) {
-	if b.err != nil || b.degraded || b.closed.Load() || !b.handshaken {
-		return
-	}
-	if n != b.step || b.sendSubmitted || b.resendLow != b.nextSend {
-		return
-	}
-	b.encodeFrame(b.nextSend, in[0])
-	b.reqFrames = append(b.reqFrames[:0], b.sendBuf)
-	b.armWriteDeadline()
-	if b.submitWrite() {
-		b.sendSubmitted = true
-	}
-}
-
-// exchange performs one sequenced batch swap: retransmit anything the peer
-// is missing, send the current batch, and read frames until the expected
-// sequence number arrives (discarding duplicates). The send runs on the
-// persistent writer goroutine concurrently with the read, so the
-// symmetric exchange cannot deadlock on unbuffered connections — and when
-// StartBatch already put this window's frame in flight, the send cost has
-// fully overlapped whatever the scheduler did since.
-func (b *Bridge) exchange(n int, in, out *token.Batch) error {
-	cur := b.nextSend
-	if !b.sendReady || b.sendSeq != cur {
-		b.encodeFrame(cur, in)
-	}
-	if !b.sendSubmitted {
-		b.reqFrames = b.reqFrames[:0]
-		if b.resendLow < cur {
-			if m := b.metrics; m != nil {
-				m.resyncs.Inc()
-				m.resentFrames.Add(cur - b.resendLow)
-			}
-			for seq := b.resendLow; seq < cur; seq++ {
-				if !b.ringHas(seq) {
-					return errNonRetryable{fmt.Errorf("batch %d fell out of the resend window", seq)}
-				}
-				b.reqFrames = append(b.reqFrames, b.ring[seq%uint64(len(b.ring))].buf)
-			}
-		}
-		if b.resendLow <= cur {
-			// Skipped only when the peer already committed our current
-			// batch before the connection dropped.
-			b.reqFrames = append(b.reqFrames, b.sendBuf)
-		}
-		b.armWriteDeadline()
-		if !b.submitWrite() {
-			return ErrClosed
-		}
-		b.sendSubmitted = true
-	}
-
-	b.armReadDeadline()
+	b.step = n
 	var stallStart time.Time
 	if b.metrics != nil {
 		stallStart = time.Now()
 	}
-	readErr := b.readExpected(out)
-	if readErr != nil {
-		b.closeConn() // unblock the writer if it is stuck mid-write
+	if err := l.exchange(b, out[0]); err != nil {
+		out[0].Reset(n)
+		b.fail(err)
+		return
 	}
-	writeErr := <-b.writerDone
-	b.sendSubmitted = false
-	b.flushWireMetrics()
-	// When both sides fail, one of them closed the connection to unblock
-	// the other: a closed-pipe error is then the secondary symptom, not
-	// the cause, so report the genuine failure.
-	if writeErr != nil && readErr != nil &&
-		errors.Is(writeErr, io.ErrClosedPipe) && !errors.Is(readErr, io.ErrClosedPipe) {
-		writeErr = nil
-	}
-	if writeErr != nil {
-		return fmt.Errorf("send batch %d: %w", cur, writeErr)
-	}
-	if readErr != nil {
-		return fmt.Errorf("recv batch %d: %w", b.nextRecv, readErr)
-	}
-	if out.N != n {
-		return errNonRetryable{fmt.Errorf("peer batch covers %d cycles, local step is %d", out.N, n)}
-	}
-	// Committed: the peer has everything up to and including cur, and we
-	// consumed its batch for this window.
-	b.ringPut(cur, b.sendBuf)
-	b.sendReady = false
-	b.nextSend = cur + 1
-	b.resendLow = b.nextSend
-	b.nextRecv++
 	if m := b.metrics; m != nil {
 		m.batchesSent.Inc()
 		m.batchesRecv.Inc()
 		m.stallNanos.Observe(uint64(time.Since(stallStart)))
 	}
-	return nil
 }
 
-// readExpected reads frames until one carries the expected sequence
-// number. Frames below it are retransmitted duplicates (the peer could not
-// know we already had them) and are discarded; a frame above it means
-// batches were lost for good.
-func (b *Bridge) readExpected(out *token.Batch) error {
-	for {
-		b.armReadDeadline()
-		seq, err := readFrameSeq(b.r)
-		if err != nil {
-			return err
-		}
-		switch {
-		case seq == b.nextRecv:
-			return readBatchV3(b.r, out)
-		case seq < b.nextRecv:
-			// Duplicate from a resync: decode and discard.
-			if err := readBatchV3(b.r, &b.scratch); err != nil {
-				return err
-			}
-			if m := b.metrics; m != nil {
-				m.dupFrames.Inc()
-			}
-		default:
-			if m := b.metrics; m != nil {
-				m.seqGaps.Inc()
-			}
-			return errNonRetryable{fmt.Errorf("sequence gap: got batch %d, expected %d", seq, b.nextRecv)}
-		}
-	}
-}
-
-// reconnect tears down the current connection and redials with
-// exponential backoff, re-handshaking (which resynchronises sequence
-// numbers) on each fresh connection. It reports whether the bridge is
-// usable again.
-func (b *Bridge) reconnect(step int) bool {
-	if b.cfg.Redial == nil || b.cfg.MaxReconnects <= 0 {
-		return false
-	}
-	b.closeConn()
-	b.handshaken = false
-	backoff := b.cfg.BackoffBase
-	for attempt := 1; attempt <= b.cfg.MaxReconnects; attempt++ {
-		// The backoff sleep is interruptible: Close from another
-		// goroutine aborts it immediately instead of waiting out
-		// BackoffMax. The delay itself is jittered ±20% (deterministic
-		// per bridge name and attempt) so a respawned fleet of shards
-		// does not hammer the coordinator in lockstep.
-		t := time.NewTimer(jitterBackoff(b.name, attempt, backoff))
-		select {
-		case <-t.C:
-		case <-b.stop:
-			t.Stop()
-			return false
-		}
-		if backoff *= 2; backoff > b.cfg.BackoffMax {
-			backoff = b.cfg.BackoffMax
-		}
-		conn, err := b.cfg.Redial()
-		if err != nil {
-			continue
-		}
-		b.setConn(conn)
-		if err := b.handshake(step); err != nil {
-			if !b.retryable(err) {
-				// Reconnecting cannot fix a protocol/topology mismatch;
-				// surface the specific reason rather than the original
-				// transient error.
-				b.fail(err)
-				return false
-			}
-			b.closeConn()
-			continue
-		}
-		b.reconnects++
-		if m := b.metrics; m != nil {
-			m.reconnects.Inc()
-		}
-		return true
-	}
-	return false
-}
-
-func (b *Bridge) armReadDeadline() {
-	if b.cfg.ReadTimeout <= 0 {
+// StartBatch is the eager half of an exchange (the fame.EagerStarter
+// fast path): it deposits this window's frame on the link as soon as the
+// local batch is ready, so every cut-point bridge of a link has deposited
+// before any of them blocks on a receive, and the link sends the whole
+// window in one write. It is a best-effort no-op whenever the bridge
+// cannot deposit; the following TickBatch then deposits itself and
+// reports any error.
+func (b *Bridge) StartBatch(n int, in []*token.Batch) {
+	if b.err != nil || b.degraded || b.closed.Load() || b.nextSend != b.nextRecv {
 		return
 	}
-	if dc, ok := b.currentConn().(deadlineConn); ok {
-		dc.SetReadDeadline(time.Now().Add(b.cfg.ReadTimeout))
-	}
-}
-
-func (b *Bridge) armWriteDeadline() {
-	if b.cfg.WriteTimeout <= 0 {
-		return
-	}
-	if dc, ok := b.currentConn().(deadlineConn); ok {
-		dc.SetWriteDeadline(time.Now().Add(b.cfg.WriteTimeout))
+	if l := b.link.Load(); l != nil {
+		l.deposit(b, n, in[0])
 	}
 }
 
 // jitterBackoff spreads a nominal backoff delay across [0.8, 1.2) of its
-// value, deterministically seeded from the bridge name and attempt
-// number: a given bridge always produces the same delay sequence (tests
-// and reruns are reproducible), while different bridges — the respawned
-// shard fleet — spread out instead of redialing in lockstep.
+// value, deterministically seeded from a name and attempt number: a
+// given caller always produces the same delay sequence (tests and reruns
+// are reproducible), while different callers — the respawned shard
+// fleet — spread out instead of redialing in lockstep.
 func jitterBackoff(name string, attempt int, backoff time.Duration) time.Duration {
 	h := fnv.New64a()
 	h.Write([]byte(name))

@@ -11,46 +11,47 @@ import (
 
 // Wire codec v3: run-length-encoded batch frames.
 //
-// The v2 codec (transport.go, kept as the compatibility oracle) spends 13
+// The v2 codec (v2_test.go, kept as the test oracle) spent 13
 // bytes per occupied slot — a 4-byte absolute offset, 8 data bytes and a
-// flag byte — plus a fixed 16-byte header per frame, and issues one
-// buffered Write per slot. Both common cases waste most of that: an idle
+// flag byte — plus a fixed 16-byte header per frame, and issued one
+// buffered Write per slot. Both common cases wasted most of that: an idle
 // link ships empty batches (16 header bytes for zero payload), and an
 // active link ships contiguous bursts whose offsets differ by exactly 1
 // with identical flags.
 //
-// A v3 frame encodes the batch as runs of consecutive slots:
+// A v3 frame body encodes one batch as runs of consecutive slots:
 //
-//	uvarint seq                         absolute frame sequence number
-//	uvarint N                           cycles covered by the batch
 //	uvarint runCount                    number of runs that follow
 //	per run:
 //	  uvarint gap                       run start − end of previous run
 //	  uvarint runLen<<1 | lastBit       slots in the run, shared Last flag
 //	  runLen × 8-byte big-endian data   one word per slot
 //
+// The window sequence number and the batch cycle count N are not part of
+// the body: every unit on a token link shares one window, so link.go
+// writes them once per window section, ahead of that window's bodies.
+//
 // A run is a maximal span of slots at consecutive offsets sharing one
 // Last flag; Valid is implicit (stored tokens are always valid, exactly
 // the invariant the v2 decoder enforces). The previous-run end starts at
 // offset 0, so gaps are non-negative by construction and overlapping or
-// reordered runs are unrepresentable. The sequence number is encoded as
-// its absolute value — not a delta — so a retransmitted frame from the
-// resend ring is byte-identical to the original transmission.
+// reordered runs are unrepresentable.
 //
-// Costs: an empty batch is 3–4 bytes (vs 16); a dense contiguous batch
-// is ~8.2 bytes/slot (vs 13); the whole frame is appended to one scratch
-// buffer and written with a single Write.
+// Costs: an empty batch body is 1 byte (vs 16 for a v2 frame); a dense
+// contiguous batch is ~8.2 bytes/slot (vs 13); the body is appended to a
+// scratch buffer with no I/O.
+
+// maxSlots bounds decoded batch occupancy as a sanity check against
+// corrupt streams.
+const maxSlots = 1 << 24
 
 // maxBatchCycles bounds the decoded N as a sanity check against corrupt
 // streams; it matches the v2 codec's implicit uint32 offset ceiling.
 const maxBatchCycles = 1 << 32
 
-// appendFrame appends the complete v3 encoding of one sequenced batch
-// frame to dst and returns the extended slice. It performs no I/O and no
-// allocation beyond growing dst.
-func appendFrame(dst []byte, seq uint64, b *token.Batch) []byte {
-	dst = binary.AppendUvarint(dst, seq)
-	dst = binary.AppendUvarint(dst, uint64(b.N))
+// appendRuns appends the v3 body of one batch to dst and returns the
+// extended slice. It performs no I/O and no allocation beyond growing dst.
+func appendRuns(dst []byte, b *token.Batch) []byte {
 	slots := b.Slots
 	runs := 0
 	for i := 0; i < len(slots); i = runEnd(slots, i) {
@@ -86,30 +87,25 @@ func runEnd(slots []token.Slot, i int) int {
 	return j
 }
 
-// readFrameSeq reads a frame's leading sequence number. io.EOF before the
-// first byte is a clean close and passes through; a stream ending inside
-// the varint is a torn frame and surfaces as io.ErrUnexpectedEOF (which
-// binary.ReadUvarint already maps).
-func readFrameSeq(r *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-// readBatchV3 decodes a v3 batch body (everything after the sequence
-// number) from r into dst, which is Reset first. Malformed input — zero-
-// length runs, slot totals past N or the occupancy ceiling, truncated
-// varints or data words — returns an error and never panics; io.EOF
-// mid-body surfaces as io.ErrUnexpectedEOF because the frame's sequence
-// number was already consumed. The decode is allocation-free once dst's
-// slot capacity has warmed up.
-func readBatchV3(r *bufio.Reader, dst *token.Batch) error {
+// readCycles reads and bounds a batch cycle count N.
+func readCycles(r *bufio.Reader) (int, error) {
 	nv, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fmt.Errorf("transport: read batch cycles: %w", tornEOF(err))
+		return 0, fmt.Errorf("transport: read batch cycles: %w", tornEOF(err))
 	}
 	if nv == 0 || nv > maxBatchCycles {
-		return fmt.Errorf("transport: corrupt batch: covers %d cycles", nv)
+		return 0, fmt.Errorf("transport: corrupt batch: covers %d cycles", nv)
 	}
-	n := int(nv)
+	return int(nv), nil
+}
+
+// readRuns decodes a v3 body covering n cycles from r into dst, which is
+// Reset first. Malformed input — zero-length runs, slot totals past n or
+// the occupancy ceiling, truncated varints or data words — returns an
+// error and never panics; io.EOF mid-body surfaces as io.ErrUnexpectedEOF
+// because the body always follows a header already consumed. The decode
+// is allocation-free once dst's slot capacity has warmed up.
+func readRuns(r *bufio.Reader, n int, dst *token.Batch) error {
 	runs, err := binary.ReadUvarint(r)
 	if err != nil {
 		return fmt.Errorf("transport: read run count: %w", tornEOF(err))

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
@@ -12,20 +13,28 @@ import (
 	"repro/internal/token"
 )
 
-// encodeV3 is a test helper producing one complete v3 frame.
+// encodeV3 is a test helper producing one standalone v3 frame: a
+// sequence number and cycle count ahead of the run body, the shape a
+// one-unit link section has minus its frame count.
 func encodeV3(seq uint64, b *token.Batch) []byte {
-	return appendFrame(nil, seq, b)
+	dst := binary.AppendUvarint(nil, seq)
+	dst = binary.AppendUvarint(dst, uint64(b.N))
+	return appendRuns(dst, b)
 }
 
-// decodeV3 decodes one complete v3 frame from raw bytes.
+// decodeV3 decodes one standalone v3 frame from raw bytes.
 func decodeV3(raw []byte) (uint64, *token.Batch, error) {
 	r := bufio.NewReader(bytes.NewReader(raw))
-	seq, err := readFrameSeq(r)
+	seq, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, nil, err
 	}
+	n, err := readCycles(r)
+	if err != nil {
+		return seq, nil, err
+	}
 	b := token.NewBatch(1)
-	if err := readBatchV3(r, b); err != nil {
+	if err := readRuns(r, n, b); err != nil {
 		return seq, nil, err
 	}
 	return seq, b, nil

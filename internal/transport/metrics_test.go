@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -12,8 +13,8 @@ import (
 // TestBridgeMetricsCleanRun drives two bridges over an in-memory pipe
 // for a fixed number of rounds and checks the instrumented side's wire
 // accounting to the byte: batches and bytes must match the protocol math
-// exactly (one hello plus one frame per round), and every
-// failure-recovery counter must stay at zero on a clean run.
+// exactly (one hello plus one section per round, one write each), and
+// every failure counter must stay at zero on a clean run.
 func TestBridgeMetricsCleanRun(t *testing.T) {
 	c1, c2 := net.Pipe()
 	const rounds = 8
@@ -47,57 +48,62 @@ func TestBridgeMetricsCleanRun(t *testing.T) {
 	get := func(metric string) uint64 {
 		return s.Counters[obs.Label(metric, "bridge", "local")]
 	}
+	getLink := func(metric string) uint64 {
+		return s.Counters[obs.Label(metric, "link", "local")]
+	}
 	if got := get("transport_batches_sent_total"); got != rounds {
 		t.Errorf("batches_sent = %d, want %d", got, rounds)
 	}
 	if got := get("transport_batches_recv_total"); got != rounds {
 		t.Errorf("batches_recv = %d, want %d", got, rounds)
 	}
-	// Each side wrote one hello and one single-slot frame per round. The
-	// byte counters come from the connection shims, so the expectation is
-	// the exact v3 encoding of the frames this test makes each side send —
-	// and must agree with the bridge's own wire accessors.
+	// Each side wrote one hello and one single-slot section per round. The
+	// byte counters come from the connection, so the expectation is the
+	// exact encoding of the sections this test makes each side send — and
+	// must agree with the bridge's own wire accessors.
 	frameBytes := func(data func(r uint64) uint64) uint64 {
 		total := uint64(helloSize)
 		for r := uint64(0); r < rounds; r++ {
 			b := token.NewBatch(n)
 			b.Put(0, token.Token{Data: data(r), Valid: true})
-			total += uint64(len(appendFrame(nil, r, b)))
+			total += uint64(len(oneUnitSection(r, b)))
 		}
 		return total
 	}
 	wantSent := frameBytes(func(r uint64) uint64 { return r })
 	wantRecv := frameBytes(func(r uint64) uint64 { return 100 + r })
-	if got := get("transport_bytes_sent_total"); got != wantSent {
+	if got := getLink("transport_bytes_sent_total"); got != wantSent {
 		t.Errorf("bytes_sent = %d, want %d", got, wantSent)
 	}
-	if got := get("transport_bytes_recv_total"); got != wantRecv {
+	if got := getLink("transport_bytes_recv_total"); got != wantRecv {
 		t.Errorf("bytes_recv = %d, want %d", got, wantRecv)
 	}
 	if got := br.WireBytesSent(); got != wantSent {
 		t.Errorf("WireBytesSent = %d, want %d", got, wantSent)
 	}
-	if got := br.WireBytesRecv(); got != wantRecv {
+	if got := br.Link().WireBytesRecv(); got != wantRecv {
 		t.Errorf("WireBytesRecv = %d, want %d", got, wantRecv)
 	}
 	// The precodec counter prices the same sent traffic at the v2 codec's
 	// fixed framing; on this single-slot-per-round run the v3 stream must
 	// come in strictly under it.
 	wantPre := uint64(helloSize) + rounds*frameWireBytes(1)
-	if got := get("transport_precodec_bytes_total"); got != wantPre {
+	if got := getLink("transport_precodec_bytes_total"); got != wantPre {
 		t.Errorf("precodec_bytes = %d, want %d", got, wantPre)
 	}
 	if wantSent >= wantPre {
 		t.Errorf("v3 wire bytes %d not below the v2 baseline %d", wantSent, wantPre)
 	}
+	if got := getLink("transport_link_writes_total"); got != rounds {
+		t.Errorf("link writes = %d, want one per round (%d)", got, rounds)
+	}
+	if got := getLink("transport_link_frames_total"); got != rounds {
+		t.Errorf("link frames = %d, want %d", got, rounds)
+	}
 	if got := s.Histograms[obs.Label("transport_stall_nanos", "bridge", "local")]; got.Count != rounds {
 		t.Errorf("stall_nanos count = %d, want %d", got.Count, rounds)
 	}
-	for _, m := range []string{
-		"transport_reconnects_total", "transport_resyncs_total",
-		"transport_resent_frames_total", "transport_dup_frames_total",
-		"transport_seq_gaps_total", "transport_errors_total",
-	} {
+	for _, m := range []string{"transport_seq_gaps_total", "transport_errors_total"} {
 		if got := get(m); got != 0 {
 			t.Errorf("%s = %d on a clean run, want 0", m, got)
 		}
@@ -111,4 +117,13 @@ func TestBridgeMetricsCleanRun(t *testing.T) {
 	if got := s.Gauges[obs.Label("transport_degraded", "bridge", "local")]; got != 1 {
 		t.Errorf("degraded gauge = %d after Degrade, want 1", got)
 	}
+}
+
+// oneUnitSection is the exact link section a one-unit link sends for
+// window seq: header (seq, N, frame count 1) and the batch's run body.
+func oneUnitSection(seq uint64, b *token.Batch) []byte {
+	dst := binary.AppendUvarint(nil, seq)
+	dst = binary.AppendUvarint(dst, uint64(b.N))
+	dst = binary.AppendUvarint(dst, 1)
+	return appendRuns(dst, b)
 }

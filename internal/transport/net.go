@@ -3,28 +3,46 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
 
 // Token-plane connection bootstrap for multi-process runs. A shard
 // process owns one or more partition units ("subtrees") and dials one
-// TCP connection per unit back to the coordinator; the 12-byte preamble
-// written first tells the coordinator's accept loop which unit — and
-// which assignment epoch — the connection belongs to, so conns from a
-// previous (pre-recovery) epoch can be recognised and dropped.
+// TCP connection back to the coordinator per assignment epoch: a token
+// link carrying every unit it hosts. The preamble written first tells
+// the coordinator's accept loop which process dialed, for which epoch,
+// and which units ride the link in which slot order, so conns from a
+// previous (pre-recovery) epoch can be recognised and dropped:
+//
+//	magic   uint32   "FSTP"
+//	epoch   uint32
+//	nameLen uint8, name   the dialing process
+//	count   uint16, count × uint32 unit   the link's slots, in order
 const tokenPreambleMagic uint32 = 0x4653_5450 // "FSTP"
+
+// TokenPreamble is what a token connection announces about itself.
+type TokenPreamble struct {
+	Name  string
+	Epoch uint32
+	Units []int
+}
 
 // DialToken dials the coordinator's token listener, retrying with
 // jittered backoff until timeout, and writes the identifying preamble.
 // The retry loop exists because a freshly assigned shard races the
 // coordinator bringing its listener back up after a recovery.
-func DialToken(addr string, subtree, epoch uint32, timeout time.Duration) (net.Conn, error) {
+func DialToken(addr string, pre TokenPreamble, timeout time.Duration) (net.Conn, error) {
+	buf, err := appendPreamble(nil, pre)
+	if err != nil {
+		return nil, err
+	}
 	deadline := time.Now().Add(timeout)
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: dial token %s (subtree %d): timed out after %v: %w", addr, subtree, timeout, lastErr)
+			return nil, fmt.Errorf("transport: dial token %s (%s): timed out after %v: %w", addr, pre.Name, timeout, lastErr)
 		}
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err != nil {
@@ -32,12 +50,8 @@ func DialToken(addr string, subtree, epoch uint32, timeout time.Duration) (net.C
 			time.Sleep(jitterBackoff(addr, attempt, 20*time.Millisecond))
 			continue
 		}
-		var pre [12]byte
-		binary.BigEndian.PutUint32(pre[0:4], tokenPreambleMagic)
-		binary.BigEndian.PutUint32(pre[4:8], subtree)
-		binary.BigEndian.PutUint32(pre[8:12], epoch)
 		c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Write(pre[:]); err != nil {
+		if _, err := c.Write(buf); err != nil {
 			c.Close()
 			lastErr = err
 			continue
@@ -47,29 +61,64 @@ func DialToken(addr string, subtree, epoch uint32, timeout time.Duration) (net.C
 	}
 }
 
-// ReadTokenPreamble validates an accepted connection's preamble and
-// returns which partition unit and epoch it announces.
-func ReadTokenPreamble(c net.Conn, timeout time.Duration) (subtree, epoch uint32, err error) {
-	var pre [12]byte
-	c.SetReadDeadline(time.Now().Add(timeout))
-	defer c.SetReadDeadline(time.Time{})
-	if _, err := readFull(c, pre[:]); err != nil {
-		return 0, 0, fmt.Errorf("transport: token preamble: %w", err)
+func appendPreamble(dst []byte, pre TokenPreamble) ([]byte, error) {
+	if len(pre.Name) > 255 || len(pre.Units) == 0 || len(pre.Units) > maxLinkUnits {
+		return nil, fmt.Errorf("transport: token preamble: %d-byte name, %d units", len(pre.Name), len(pre.Units))
 	}
-	if m := binary.BigEndian.Uint32(pre[0:4]); m != tokenPreambleMagic {
-		return 0, 0, fmt.Errorf("transport: token preamble: bad magic %#x", m)
+	dst = binary.BigEndian.AppendUint32(dst, tokenPreambleMagic)
+	dst = binary.BigEndian.AppendUint32(dst, pre.Epoch)
+	dst = append(dst, byte(len(pre.Name)))
+	dst = append(dst, pre.Name...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(pre.Units)))
+	for _, u := range pre.Units {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(u))
 	}
-	return binary.BigEndian.Uint32(pre[4:8]), binary.BigEndian.Uint32(pre[8:12]), nil
+	return dst, nil
 }
 
-func readFull(c net.Conn, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := c.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
+// ReadTokenPreamble reads an accepted connection's preamble within
+// timeout. It checks the framing only; which units the named process may
+// carry this epoch is the caller's to validate.
+func ReadTokenPreamble(c net.Conn, timeout time.Duration) (TokenPreamble, error) {
+	c.SetReadDeadline(time.Now().Add(timeout))
+	defer c.SetReadDeadline(time.Time{})
+	pre, err := readPreamble(c)
+	if err != nil {
+		return pre, fmt.Errorf("transport: token preamble: %w", err)
 	}
-	return n, nil
+	return pre, nil
+}
+
+func readPreamble(r io.Reader) (TokenPreamble, error) {
+	var pre TokenPreamble
+	var hdr struct {
+		Magic, Epoch uint32
+		NameLen      uint8
+	}
+	if err := binary.Read(r, binary.BigEndian, &hdr); err != nil {
+		return pre, err
+	}
+	if hdr.Magic != tokenPreambleMagic {
+		return pre, fmt.Errorf("bad magic %#x", hdr.Magic)
+	}
+	name := make([]byte, hdr.NameLen)
+	var count uint16
+	if _, err := io.ReadFull(r, name); err != nil {
+		return pre, err
+	}
+	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
+		return pre, err
+	}
+	if count == 0 || count > maxLinkUnits {
+		return pre, fmt.Errorf("%d units on one link", count)
+	}
+	units := make([]uint32, count)
+	if err := binary.Read(r, binary.BigEndian, units); err != nil {
+		return pre, err
+	}
+	pre = TokenPreamble{Name: string(name), Epoch: hdr.Epoch, Units: make([]int, count)}
+	for i, u := range units {
+		pre.Units[i] = int(u)
+	}
+	return pre, nil
 }

@@ -203,6 +203,13 @@ timeout 180 go run ./cmd/firesim run-dist -nodes 8 -procs 3 \
     -chaos 'kill:shard1@4096,stop:shard0@6144,stall:shard2@10240+5000' \
     -verify -quiet
 
+echo "== distributed chaos repeatability =="
+# The chaos keystones deliver each kill/stop on the root's token window
+# that reaches its trigger cycle, so every scheduled fault lands in its
+# own checkpoint slice however fast the host runs. Five back-to-back
+# invocations must all heal the expected number of failures.
+timeout 300 go test -count=5 -run 'TestDistributedChaos' ./internal/manager >/dev/null
+
 echo "== 256-node multi-level-cut chaos smoke =="
 # The paper's 4x8x8 tree cut below the aggregation tier: 32 ToR units over
 # 4 shard processes with the root and aggregation switches in the
@@ -243,5 +250,10 @@ echo "== snapshot fuzz (short) =="
 # A few seconds of coverage-guided fuzzing over the snapshot decoder: the
 # Reader must never panic on malformed streams.
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
+
+echo "== token link fuzz (short) =="
+# The same for the token link's window framing and the token preamble:
+# a corrupt peer stream must fail the link, never panic or hang it.
+go test ./internal/transport -run '^$' -fuzz FuzzLinkRead -fuzztime 5s >/dev/null
 
 echo "OK"
