@@ -146,11 +146,16 @@ func ToFlits(buf []byte) []uint64 {
 
 // FromFlits reassembles the byte stream carried by a sequence of flits.
 func FromFlits(flits []uint64) []byte {
-	buf := make([]byte, len(flits)*FlitSize)
-	for i, f := range flits {
-		binary.BigEndian.PutUint64(buf[i*FlitSize:], f)
+	return AppendFlitBytes(make([]byte, 0, len(flits)*FlitSize), flits)
+}
+
+// AppendFlitBytes appends the byte stream carried by flits to dst, for
+// callers that reassemble into a reusable buffer.
+func AppendFlitBytes(dst []byte, flits []uint64) []byte {
+	for _, f := range flits {
+		dst = binary.BigEndian.AppendUint64(dst, f)
 	}
-	return buf
+	return dst
 }
 
 // DstFromFirstFlit extracts the destination MAC from the first flit of a

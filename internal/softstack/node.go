@@ -36,6 +36,41 @@ type txFrame struct {
 	flit    int
 }
 
+// txQueue is the FIFO of frames awaiting transmission: a slice read from
+// a head index. Popping the last frame rewinds it to the start, and a push
+// that would grow a slice with popped cells at its head compacts it
+// instead, so a steady stream reuses one backing array.
+type txQueue struct {
+	buf  []txFrame
+	head int
+}
+
+func (q *txQueue) len() int { return len(q.buf) - q.head }
+
+func (q *txQueue) front() *txFrame { return &q.buf[q.head] }
+
+// frames returns the queued frames in FIFO order, for snapshotting.
+func (q *txQueue) frames() []txFrame { return q.buf[q.head:] }
+
+func (q *txQueue) push(f txFrame) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		m := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[m:])
+		q.buf = q.buf[:m]
+		q.head = 0
+	}
+	q.buf = append(q.buf, f)
+}
+
+func (q *txQueue) pop() {
+	q.buf[q.head] = txFrame{} // drop the flit slab reference
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+}
+
 // generator produces paced raw frames for bandwidth experiments.
 type generator struct {
 	dst      ethernet.MAC
@@ -91,9 +126,11 @@ type Node struct {
 	arpWaiting map[ethernet.IP][]func(now clock.Cycles, mac ethernet.MAC)
 	udp        map[uint16]UDPHandler
 	rxFlits    []uint64
+	// rxBytes is handleFrame's reusable decode scratch.
+	rxBytes []byte
 
 	// TX engine
-	txq      []txFrame
+	txq      txQueue
 	txCursor clock.Cycles
 	gen      *generator
 
@@ -174,13 +211,11 @@ func (n *Node) TickBatch(nCycles int, in, out []*token.Batch) {
 	for _, slot := range in[0].Slots {
 		n.rxFlits = append(n.rxFlits, slot.Tok.Data)
 		if slot.Tok.Last {
-			flits := make([]uint64, len(n.rxFlits))
-			copy(flits, n.rxFlits)
-			n.rxFlits = n.rxFlits[:0]
 			arrival := start + clock.Cycles(slot.Offset)
 			n.stats.FramesRecv++
-			n.stats.BytesRecv += uint64(len(flits) * ethernet.FlitSize)
-			n.handleFrame(arrival, flits)
+			n.stats.BytesRecv += uint64(len(n.rxFlits) * ethernet.FlitSize)
+			n.handleFrame(arrival, n.rxFlits)
+			n.rxFlits = n.rxFlits[:0]
 		}
 	}
 
@@ -249,27 +284,27 @@ func (n *Node) emitTX(start, end clock.Cycles, out *token.Batch) {
 		cursor = start
 	}
 	for {
-		if len(n.txq) == 0 && !n.refillFromGenerator(end) {
+		if n.txq.len() == 0 && !n.refillFromGenerator(end) {
 			break
 		}
-		f := &n.txq[0]
+		f := n.txq.front()
 		if f.readyAt > cursor {
 			cursor = f.readyAt
 		}
 		if cursor >= end {
 			break
 		}
-		for f.flit < len(f.flits) && cursor < end {
-			last := f.flit == len(f.flits)-1
-			out.Put(int(cursor-start), token.Token{Data: f.flits[f.flit], Valid: true, Last: last})
-			f.flit++
-			cursor++
-		}
+		// The frame's ready flits for this window go out as one run.
+		k := min(len(f.flits)-f.flit, int(end-cursor))
+		next := f.flit + k
+		out.PutRun(int(cursor-start), f.flits[f.flit:next], next == len(f.flits))
+		f.flit = next
+		cursor += clock.Cycles(k)
 		n.txCursor = cursor
 		if f.flit == len(f.flits) {
-			n.txq = n.txq[1:]
 			n.stats.FramesSent++
 			n.stats.BytesSent += uint64(len(f.flits) * ethernet.FlitSize)
+			n.txq.pop()
 		}
 	}
 }
@@ -289,7 +324,7 @@ func (n *Node) refillFromGenerator(end clock.Cycles) bool {
 	if next >= end {
 		return false
 	}
-	n.txq = append(n.txq, txFrame{flits: g.flits, readyAt: next})
+	n.txq.push(txFrame{flits: g.flits, readyAt: next})
 	g.next += g.interval
 	return true
 }
@@ -300,13 +335,19 @@ func (n *Node) sendFrameAt(ready clock.Cycles, f *ethernet.Frame) {
 	if err != nil {
 		panic(fmt.Sprintf("softstack: %v", err))
 	}
-	n.txq = append(n.txq, txFrame{flits: flits, readyAt: ready})
+	n.txq.push(txFrame{flits: flits, readyAt: ready})
 }
 
 // --- protocol handling (kernel) ---
 
+// handleFrame decodes one received frame and schedules its handling.
+// flits is the node's reassembly buffer, reused for the next frame as
+// soon as handleFrame returns, so it must not be retained; the decode
+// goes through the reusable rxBytes scratch, and DecodeFrame copies the
+// payload out of it.
 func (n *Node) handleFrame(arrival clock.Cycles, flits []uint64) {
-	fr, err := ethernet.DecodeFlits(flits)
+	n.rxBytes = ethernet.AppendFlitBytes(n.rxBytes[:0], flits)
+	fr, err := ethernet.DecodeFrame(n.rxBytes)
 	if err != nil {
 		return // malformed frame: dropped silently like real hardware
 	}

@@ -76,9 +76,10 @@ func (n *Node) Save(w *snapshot.Writer) error {
 	for _, f := range n.rxFlits {
 		w.U64(f)
 	}
-	w.Uvarint(uint64(len(n.txq)))
-	for i := range n.txq {
-		f := &n.txq[i]
+	txq := n.txq.frames()
+	w.Uvarint(uint64(len(txq)))
+	for i := range txq {
+		f := &txq[i]
 		w.Uvarint(uint64(len(f.flits)))
 		for _, fl := range f.flits {
 			w.U64(fl)
@@ -257,7 +258,7 @@ func (n *Node) Restore(r *snapshot.Reader) error {
 	n.stats = stats
 	n.arp = arp
 	n.rxFlits = rxFlits
-	n.txq = txq
+	n.txq = txQueue{buf: txq}
 	n.txCursor = txCursor
 	n.gen = gen
 	n.nextID = uint16(nextID)

@@ -15,6 +15,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -66,6 +67,7 @@ type refSwitch struct {
 	queue refPending
 	stats Stats
 	stall func(port int, cycle clock.Cycles) bool
+	probe func(cycle clock.Cycles, port int)
 }
 
 func newRefSwitch(cfg Config) *refSwitch {
@@ -194,6 +196,9 @@ func (rs *refSwitch) releasePort(p int, n int, out *token.Batch) {
 		out.Put(i, token.Token{Data: flit, Valid: true, Last: last})
 		rs.stats.FlitsOut++
 		rs.stats.BytesSwitched += ethernet.FlitSize
+		if rs.probe != nil {
+			rs.probe(now, p)
+		}
 		o.txFlit++
 		if last {
 			o.queuedBytes -= len(o.tx.flits) * ethernet.FlitSize
@@ -264,13 +269,41 @@ func TestSwitchStreamEquivalenceFuzz(t *testing.T) {
 				rs.table[mac] = p
 			}
 			if rng.Intn(3) == 0 {
-				k := clock.Cycles(2 + rng.Intn(30))
+				// Stall a random nonempty subset of ports, each with its
+				// own phase: either a periodic burst or a hashed sprinkle
+				// of single cycles, so stalls cut packets mid-run as well
+				// as holding whole rounds.
+				mask := 1 + rng.Intn(1<<ports-1)
+				period := clock.Cycles(2 + rng.Intn(64))
+				k := clock.Cycles(1 + rng.Intn(int(period)))
+				density := uint64(1 + rng.Intn(6))
+				hashed := rng.Intn(2) == 0
+				phase := make([]clock.Cycles, ports)
+				for p := range phase {
+					phase[p] = clock.Cycles(rng.Intn(64))
+				}
 				stall := func(port int, cycle clock.Cycles) bool {
-					return port == 0 && cycle%64 < k
+					if mask&(1<<port) == 0 {
+						return false
+					}
+					if hashed {
+						h := (uint64(cycle+phase[port]) + 1) * 0x9e3779b97f4a7c15
+						return (h>>61)%8 < density
+					}
+					return (cycle+phase[port])%period < k
 				}
 				sw.SetStall(stall)
 				rs.stall = stall
 			}
+			// Every released flit is probed; both switches must report
+			// the same (cycle, port) sequence.
+			type probeCall struct {
+				cycle clock.Cycles
+				port  int
+			}
+			var probesA, probesB []probeCall
+			sw.SetProbe(func(c clock.Cycles, p int) { probesA = append(probesA, probeCall{c, p}) })
+			rs.probe = func(c clock.Cycles, p int) { probesB = append(probesB, probeCall{c, p}) }
 
 			// Per-port pending flit streams, refilled as they drain.
 			streams := make([][]fuzzFlit, ports)
@@ -318,6 +351,10 @@ func TestSwitchStreamEquivalenceFuzz(t *testing.T) {
 						}
 					}
 				}
+				if !slices.Equal(probesA, probesB) {
+					t.Fatalf("round %d: probe calls\n  got  %v\n  want %v", round, probesA, probesB)
+				}
+				probesA, probesB = probesA[:0], probesB[:0]
 				if got, want := sw.Stats(), rs.stats; got != want {
 					t.Fatalf("round %d: stats diverged:\n  got  %+v\n  want %+v", round, got, want)
 				}

@@ -36,11 +36,24 @@
 // through a seqlock instead of a fresh heap copy per round. A fully
 // quiescent round (no ingress tokens, nothing queued, nothing in flight)
 // short-circuits to an arithmetic cycle advance: O(ports), not O(ports×n).
+//
+// Flits move in runs, not one at a time. Ingress counts a port's flits
+// once per batch and copies each run of slots up to a Last flit into the
+// packet's slab in one pass over the slab's spare capacity, growing it
+// only when full (a warm pooled slab never grows). Egress emits an
+// in-flight packet's next run (flits left, cycles left in the round,
+// stall-free prefix) with one token.Batch.PutRun, so range and order are
+// checked once per run.
+// Stall and probe hooks ride the same egress loop: the stall hook is
+// asked cycle by cycle only to find where a run stops, and the probe is
+// called once per emitted flit after its run, in the same (cycle, port)
+// order as flit-at-a-time egress.
 package switchmodel
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -532,23 +545,45 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 	// completed packet with its last token's arrival cycle plus the
 	// minimum switching latency, and push it into the global queue.
 	for p := 0; p < s.cfg.Ports; p++ {
+		slots := in[p].Slots
+		if len(slots) == 0 {
+			continue
+		}
+		s.stats.FlitsIn += uint64(len(slots))
 		ip := &s.in[p]
-		for _, slot := range in[p].Slots {
+		for len(slots) > 0 {
 			if ip.cur == nil {
 				ip.cur = s.newPacket()
 			}
-			ip.cur.Flits = append(ip.cur.Flits, slot.Tok.Data)
-			s.stats.FlitsIn++
-			if slot.Tok.Last {
+			// Fill the slab's spare capacity (grown once if there is
+			// none) up to the first Last flit, in one pass over slots.
+			flits := ip.cur.Flits
+			if len(flits) == cap(flits) {
+				flits = slices.Grow(flits, 1)
+			}
+			m := len(flits)
+			room := flits[m:cap(flits)]
+			k := min(len(room), len(slots))
+			complete := false
+			for i, slot := range slots[:k] {
+				room[i] = slot.Tok.Data
+				if slot.Tok.Last {
+					k, complete = i+1, true
+					break
+				}
+			}
+			ip.cur.Flits = flits[:m+k]
+			if complete {
 				pkt := ip.cur
 				ip.cur = nil
 				pkt.InPort = p
-				pkt.Release = s.cycle + clock.Cycles(slot.Offset) + s.cfg.SwitchingLatency
+				pkt.Release = s.cycle + clock.Cycles(slots[k-1].Offset) + s.cfg.SwitchingLatency
 				pkt.seq = s.seq
 				s.seq++
 				s.stats.PacketsIn++
 				s.queue.push(pkt)
 			}
+			slots = slots[k:]
 		}
 	}
 
@@ -599,12 +634,20 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 	}
 }
 
+// releasePort fills port p's output batch for the round. Each pass of
+// the loop either spends one stalled cycle, starts a packet (dropping
+// stale heads) or fast-forwards an idle port to its next release, and
+// then emits the in-flight packet's next run of flits with one PutRun:
+// as many as remain in the packet, fit in the round and precede the next
+// stalled cycle. Stall hooks are asked once per cycle the port could
+// transmit on; probes are called once per emitted flit, in cycle order.
 func (s *Switch) releasePort(p int, n int, out *token.Batch) {
 	o := &s.out[p]
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		now := s.cycle + clock.Cycles(i)
 		if s.stall != nil && s.stall(p, now) {
 			s.stats.StallCycles++
+			i++
 			continue
 		}
 		if o.tx == nil {
@@ -639,20 +682,37 @@ func (s *Switch) releasePort(p int, n int, out *token.Batch) {
 			if next >= s.cycle+clock.Cycles(n) {
 				return
 			}
-			if j := int(next - s.cycle); j > i {
-				i = j - 1 // loop increment lands on the release cycle
-			}
+			i = max(i+1, int(next-s.cycle))
 			continue
 		}
-		flit := o.tx.Flits[o.txFlit]
-		last := o.txFlit == len(o.tx.Flits)-1
-		out.Put(i, token.Token{Data: flit, Valid: true, Last: last})
-		s.stats.FlitsOut++
-		s.stats.BytesSwitched += ethernet.FlitSize
-		if s.probe != nil {
-			s.probe(now, p)
+		// Emit the run. Cycle i already passed the stall check; a stall
+		// that cuts the run is counted here so no cycle is asked twice.
+		k := min(len(o.tx.Flits)-o.txFlit, n-i)
+		stalled := false
+		if s.stall != nil {
+			for j := 1; j < k; j++ {
+				if s.stall(p, now+clock.Cycles(j)) {
+					k, stalled = j, true
+					break
+				}
+			}
 		}
-		o.txFlit++
+		end := o.txFlit + k
+		last := end == len(o.tx.Flits)
+		out.PutRun(i, o.tx.Flits[o.txFlit:end], last)
+		s.stats.FlitsOut += uint64(k)
+		s.stats.BytesSwitched += uint64(k) * ethernet.FlitSize
+		if s.probe != nil {
+			for j := 0; j < k; j++ {
+				s.probe(now+clock.Cycles(j), p)
+			}
+		}
+		o.txFlit = end
+		i += k
+		if stalled {
+			s.stats.StallCycles++
+			i++
+		}
 		if last {
 			o.queuedBytes -= len(o.tx.Flits) * ethernet.FlitSize
 			s.stats.PacketsOut++

@@ -15,7 +15,10 @@
 // link-layer protocol.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Token is one target cycle's worth of link data.
 type Token struct {
@@ -87,7 +90,9 @@ func (b *Batch) Reset(n int) {
 // Put records tok at cycle offset within the batch. Offsets must be added
 // in strictly increasing order; Put panics otherwise, since out-of-order
 // writes would corrupt the per-cycle ordering invariants that the switch
-// models rely on. Empty tokens are not stored.
+// models rely on. Empty tokens are not stored. Put checks and appends one
+// slot per call; datapaths that emit a packet's consecutive flits should
+// use PutRun, which checks once per run.
 func (b *Batch) Put(offset int, tok Token) {
 	if offset < 0 || offset >= b.N {
 		panic(fmt.Sprintf("token: offset %d out of batch range [0,%d)", offset, b.N))
@@ -99,6 +104,31 @@ func (b *Batch) Put(offset int, tok Token) {
 		panic(fmt.Sprintf("token: out-of-order Put at offset %d after %d", offset, b.Slots[n-1].Offset))
 	}
 	b.Slots = append(b.Slots, Slot{Offset: int32(offset), Tok: tok})
+}
+
+// PutRun records len(data) consecutive valid tokens at offsets offset,
+// offset+1, ..., setting Last on the final one when last is true. It is
+// equivalent to calling Put once per token, but checks range and order
+// once for the whole run and grows Slots once. It panics on the same
+// violations as Put; an empty run records nothing.
+func (b *Batch) PutRun(offset int, data []uint64, last bool) {
+	k := len(data)
+	if offset < 0 || offset+k > b.N {
+		panic(fmt.Sprintf("token: run [%d,%d) out of batch range [0,%d)", offset, offset+k, b.N))
+	}
+	if k == 0 {
+		return
+	}
+	n := len(b.Slots)
+	if n > 0 && int(b.Slots[n-1].Offset) >= offset {
+		panic(fmt.Sprintf("token: out-of-order PutRun at offset %d after %d", offset, b.Slots[n-1].Offset))
+	}
+	b.Slots = slices.Grow(b.Slots, k)[:n+k]
+	run := b.Slots[n:]
+	for i, d := range data {
+		run[i] = Slot{Offset: int32(offset + i), Tok: Token{Data: d, Valid: true}}
+	}
+	run[k-1].Tok.Last = last
 }
 
 // At returns the token at the given cycle offset, which is the empty token

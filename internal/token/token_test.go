@@ -1,6 +1,8 @@
 package token
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +64,64 @@ func TestBatchPutPanics(t *testing.T) {
 			b.Put(2, Token{Valid: true})
 		}},
 		{"zero batch", func() { NewBatch(0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", tc.name)
+				}
+			}()
+			tc.fn()
+		})
+	}
+}
+
+// TestPutRunMatchesPut is PutRun's oracle: for random batches built from
+// runs of random lengths, gaps and Last flags, the slots equal those of
+// the same tokens added one by one with Put.
+func TestPutRunMatchesPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		n := 1 + rng.Intn(128)
+		run, ref := NewBatch(n), NewBatch(n)
+		off := rng.Intn(4)
+		for off < n {
+			k := rng.Intn(n - off + 1)
+			data := make([]uint64, k)
+			for i := range data {
+				data[i] = rng.Uint64()
+			}
+			last := rng.Intn(2) == 0
+			run.PutRun(off, data, last)
+			for i, d := range data {
+				ref.Put(off+i, Token{Data: d, Valid: true, Last: last && i == k-1})
+			}
+			off += k + 1 + rng.Intn(4)
+		}
+		if !slices.Equal(run.Slots, ref.Slots) {
+			t.Fatalf("iter %d: PutRun slots %v, Put slots %v", iter, run.Slots, ref.Slots)
+		}
+	}
+}
+
+func TestPutRunPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"negative offset", func() { NewBatch(4).PutRun(-1, []uint64{1}, false) }},
+		{"end past N", func() { NewBatch(4).PutRun(2, []uint64{1, 2, 3}, true) }},
+		{"overlaps previous slot", func() {
+			b := NewBatch(8)
+			b.PutRun(2, []uint64{1, 2, 3}, false)
+			b.PutRun(4, []uint64{4}, true)
+		}},
+		{"overlaps previous Put", func() {
+			b := NewBatch(8)
+			b.Put(5, Token{Valid: true})
+			b.PutRun(5, []uint64{1}, false)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,6 +44,9 @@ echo "== switch fast-path gate =="
 go test -count=1 \
     -run 'TestSwitchStreamEquivalenceFuzz|TestSwitchZeroSteadyStateAllocs|TestOutQueueNoCapacityGrowth' \
     ./internal/switchmodel >/dev/null
+# The node's run-at-a-time egress must match the per-flit reference loop,
+# and a raw stream must transmit without allocating once warm.
+go test -count=1 -run 'TestEmitTXMatchesReference|TestRawStreamTxZeroAlloc' ./internal/softstack >/dev/null
 
 echo "== superblock equivalence gate =="
 # The superblock dispatcher (decode-once/execute-many with fetch spans)
